@@ -168,8 +168,8 @@ int main(int argc, char** argv) {
     core::ExecTrace trace;
     runtime::RuntimeOptions rt;
     rt.num_kernels = nc.kernels;
-    rt.policy = core::PolicyKind::kAffinity;
-    rt.shards = nc.shards;
+    rt.run.policy = core::PolicyKind::kAffinity;
+    rt.run.shards = nc.shards;
     rt.trace = &trace;
     runtime::Runtime runtime(run.program, rt);
     const runtime::RuntimeStats st = runtime.run();

@@ -104,8 +104,8 @@ int main(int argc, char** argv) {
 
       runtime::RuntimeOptions rt;
       rt.num_kernels = k;
-      rt.policy = core::PolicyKind::kHier;
-      rt.shards = shards;
+      rt.run.policy = core::PolicyKind::kHier;
+      rt.run.shards = shards;
       core::ExecTrace trace;
       rt.trace = &trace;
       runtime::Runtime runtime(run.program, rt);

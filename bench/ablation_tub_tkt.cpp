@@ -12,7 +12,7 @@
 //    search operation". Disabling it makes the emulator pay a
 //    sequential SM search per Ready Count update.
 //  - the lock-free hot path vs the paper's structures: the same
-//    fan-out workload run end-to-end with RuntimeOptions::lockfree
+//    fan-out workload run end-to-end with RunOptions::lockfree
 //    toggled - SPSC TUB lanes + ring mailboxes against the segmented
 //    try-lock TUB + mutex mailboxes (the acceptance ablation for the
 //    lock-free runtime rework).
@@ -56,7 +56,7 @@ void BM_TubSegments(benchmark::State& state) {
     state.ResumeTiming();
     runtime::RuntimeOptions options;
     options.num_kernels = kKernels;
-    options.lockfree = false;  // segments only exist on the mutex path
+    options.run.lockfree = false;  // segments only exist on the mutex path
     options.tub_segments = segments;
     const runtime::RuntimeStats st = runtime::Runtime(p, options).run();
     trylock_failures += st.tub.trylock_failures;
@@ -90,7 +90,7 @@ void BM_LockfreeVsMutex(benchmark::State& state) {
     state.ResumeTiming();
     runtime::RuntimeOptions options;
     options.num_kernels = kernels;
-    options.lockfree = lockfree;
+    options.run.lockfree = lockfree;
     const runtime::RuntimeStats st = runtime::Runtime(p, options).run();
     full_stalls += st.tub.full_skips;
   }
@@ -146,7 +146,7 @@ void BM_EmulatorGroups(benchmark::State& state) {
     state.ResumeTiming();
     runtime::RuntimeOptions options;
     options.num_kernels = kKernels;
-    options.tsu_groups = groups;
+    options.run.tsu_groups = groups;
     runtime::Runtime(p, options).run();
   }
   state.SetItemsProcessed(state.iterations() * kWidth);

@@ -8,7 +8,7 @@
 // dispatch) with empty bodies. Every benchmark that touches a hot-path
 // structure carries a `lockfree` dimension so the SPSC-ring fast path
 // can be compared against the paper-faithful mutex/try-lock baseline
-// (RuntimeOptions::lockfree == false).
+// (RunOptions::lockfree == false).
 //
 // `--json <path>` mirrors the results into google-benchmark's JSON
 // format (bench/run_benchmarks.sh collects them at the repo root).
@@ -48,8 +48,9 @@ void BM_NullDThread(benchmark::State& state) {
     core::Program p = b.build(core::BuildOptions{.num_kernels = kernels});
     state.ResumeTiming();
 
-    runtime::Runtime rt(p, runtime::RuntimeOptions{.num_kernels = kernels,
-                                                   .lockfree = lockfree});
+    runtime::Runtime rt(p, runtime::RuntimeOptions{
+                               .num_kernels = kernels,
+                               .run = {.lockfree = lockfree}});
     rt.run();
   }
   state.SetItemsProcessed(state.iterations() * kThreads);
@@ -130,7 +131,11 @@ void BM_SmDecrement(benchmark::State& state) {
   runtime::SyncMemoryGroup sm(program, 8);
   std::uint64_t steps = 0;
   std::size_t next = 0;
-  sm.load_block(0);
+  auto load_block0 = [&sm] {
+    sm.preload_shadow(0, /*group=*/0, /*groups=*/1);
+    sm.promote_shadow(/*group=*/0, /*groups=*/1);
+  };
+  load_block0();
   for (auto _ : state) {
     // Cycle through threads; reload the block when all counts (all 0
     // already - threads have no producers, decrement hits the outlet
@@ -139,7 +144,7 @@ void BM_SmDecrement(benchmark::State& state) {
     benchmark::DoNotOptimize(sm.decrement(outlet, use_tkt, &steps));
     if (++next == static_cast<std::size_t>(width)) {
       next = 0;
-      sm.load_block(0);
+      load_block0();
     }
   }
   state.counters["search_steps_per_op"] = benchmark::Counter(

@@ -5,14 +5,10 @@
 #   BENCH_micro_runtime.json - runtime-primitive microbenches, both
 #                              hot paths (lockfree vs mutex)
 #   BENCH_fig6.json          - the Figure 6 TFluxSoft speedup sweep
-#   BENCH_blocks.json        - block-transition pipeline ablation
-#                              (pipelined vs synchronous SM reload)
 #   BENCH_trace_overhead.json - ddmcheck execution-tracing cost
 #                              (traced vs untraced wall time)
-#   BENCH_coalesce.json      - range-update coalescing ablation
 #   BENCH_guard_overhead.json - ddmguard online-checking cost
 #                              (off vs sampled:8 vs full)
-#                              (coalesced vs unit update publishing)
 #   BENCH_shards.json        - sharded TSU vs flat (hierarchical
 #                              stealing) + native steal-stat
 #                              reconciliation against ddmcheck
@@ -71,9 +67,7 @@ MIN_TIME="${MIN_TIME:-0.1}"
 run_bench "$BENCH_DIR/micro_runtime" "$OUT_DIR/BENCH_micro_runtime.json" \
   --benchmark_min_time="$MIN_TIME"
 run_bench "$BENCH_DIR/fig6_tfluxsoft" "$OUT_DIR/BENCH_fig6.json"
-run_bench "$BENCH_DIR/ablation_blocks" "$OUT_DIR/BENCH_blocks.json"
 run_bench "$BENCH_DIR/trace_overhead" "$OUT_DIR/BENCH_trace_overhead.json"
-run_bench "$BENCH_DIR/update_coalesce" "$OUT_DIR/BENCH_coalesce.json"
 run_bench "$BENCH_DIR/guard_overhead" "$OUT_DIR/BENCH_guard_overhead.json"
 run_bench "$BENCH_DIR/ablation_shards" "$OUT_DIR/BENCH_shards.json"
 run_bench "$BENCH_DIR/ablation_dataplane" "$OUT_DIR/BENCH_dataplane.json"

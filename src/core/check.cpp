@@ -492,10 +492,8 @@ CheckReport check_trace(const Program& program, const ExecTrace& trace,
                       "); the block was already retired");
         }
         if (dataplane && t.is_application()) {
-          // One bulk forward per arc run, batched the way the recorded
-          // run batched its updates (the trace's coalesce mode).
-          for (const ForwardRun& run :
-               dataplane->forward_runs(r.a, trace.coalesce)) {
+          // One bulk forward per coalesced arc run.
+          for (const ForwardRun& run : dataplane->forward_runs(r.a)) {
             ++report.dataplane.forwards;
             report.dataplane.bytes_forwarded += run.bytes;
           }

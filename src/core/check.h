@@ -101,8 +101,8 @@ struct StealTally {
 /// dispatch is accounted against the execution record and then claims
 /// ownership at its target kernel (the dispatch target *is* the
 /// executing kernel - the mailbox delivers the DThread nowhere else),
-/// and each application completion accounts its bulk forwards with the
-/// trace's coalesce mode. A run's reported dataplane stats must
+/// and each application completion accounts its bulk forwards, one per
+/// coalesced consumer run. A run's reported dataplane stats must
 /// reconcile *exactly* against this tally: every producer's updates
 /// are published after its Complete ticket and every consumer
 /// dispatches only after all its producers' updates, so no scoring in

@@ -31,7 +31,6 @@ DataPlane::DataPlane(const Program& program, const ShardMap* shards)
       shards_(shards),
       contributions_(program.num_threads()),
       forwards_(program.num_threads()),
-      unit_forwards_(program.num_threads()),
       exec_kernel_(new std::atomic<KernelId>[program.num_threads()]) {
   for (ThreadId t = 0; t < program.num_threads(); ++t) {
     exec_kernel_[t].store(kInvalidKernel, std::memory_order_relaxed);
@@ -56,7 +55,6 @@ DataPlane::DataPlane(const Program& program, const ShardMap* shards)
       const std::uint64_t b = overlap(t.id, c);
       if (b == 0) continue;
       contributions_[c].push_back({t.id, b});
-      unit_forwards_[t.id].push_back({c, c, b});
     }
   }
 
@@ -78,7 +76,6 @@ DataPlane::DataPlane(const Program& program, const ShardMap* shards)
       bytes[i] = overlap(p, cs[i]);
       if (bytes[i] == 0) continue;
       contributions_[cs[i]].push_back({p, bytes[i]});
-      unit_forwards_[p].push_back({cs[i], cs[i], bytes[i]});
     }
     std::size_t i = 0;
     while (i < cs.size()) {

@@ -87,13 +87,11 @@ class DataPlane {
     return contributions_[consumer];
   }
 
-  /// Bulk forwards `producer` performs on completion. `coalesce` picks
-  /// the batch boundaries: true reuses the PR 5 [lo, hi] runs (one
-  /// forward per run), false degrades to one forward per consumer
-  /// (the unit-update ablation). Zero-payload runs are already gone.
-  const std::vector<ForwardRun>& forward_runs(ThreadId producer,
-                                              bool coalesce) const {
-    return coalesce ? forwards_[producer] : unit_forwards_[producer];
+  /// Bulk forwards `producer` performs on completion: one per
+  /// coalesced [lo, hi] consumer run. Zero-payload runs are already
+  /// gone.
+  const std::vector<ForwardRun>& forward_runs(ThreadId producer) const {
+    return forwards_[producer];
   }
 
   // -- dynamic execution record ---------------------------------------
@@ -138,8 +136,7 @@ class DataPlane {
   const Program& program_;
   const ShardMap* shards_;
   std::vector<std::vector<Contribution>> contributions_;
-  std::vector<std::vector<ForwardRun>> forwards_;       // coalesced
-  std::vector<std::vector<ForwardRun>> unit_forwards_;  // per-consumer
+  std::vector<std::vector<ForwardRun>> forwards_;
   std::unique_ptr<std::atomic<KernelId>[]> exec_kernel_;
 };
 

@@ -58,7 +58,6 @@ std::string save_trace(const ExecTrace& trace) {
   // Optional clauses: only non-default values are written, so older
   // traces stay byte-identical with their original writers.
   if (trace.shards != 0) out << " shards " << trace.shards;
-  if (!trace.coalesce) out << " coalesce 0";
   if (trace.dataplane) out << " dataplane 1";
   out << "\n";
   if (!trace.app.empty()) {
@@ -137,7 +136,10 @@ ExecTrace load_trace(const std::string& text) {
         } else if (clause == "coalesce") {
           int v = 0;
           if (!(ls >> v)) fail("config coalesce needs 0 or 1");
-          trace.coalesce = v != 0;
+          if (v == 0) {
+            fail("config coalesce 0: the unit-update mode was removed; "
+                 "only coalesced traces can be replayed");
+          }
         } else if (clause == "dataplane") {
           int v = 0;
           if (!(ls >> v)) fail("config dataplane needs 0 or 1");

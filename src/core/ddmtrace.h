@@ -18,7 +18,9 @@
 //
 // Version 2 adds the three-operand range-update record and the
 // truncated directive; version-1 files still load (no version-1 event
-// needs a third operand).
+// needs a third operand). A `coalesce 0` config clause (traces of the
+// removed unit-update mode) is rejected; `coalesce 1` is accepted and
+// ignored.
 //
 // Events and their operands (actor = lane: kernel k is lane k, TSU
 // Emulator of group g is lane K+g):
@@ -29,7 +31,8 @@
 //                     coalesced record standing for the unit updates
 //                     a -> b, a -> b+1, ..., a -> c
 //   shadow-decrement  a=thread  b=reached zero    (emulator lane)
-//   inlet-load        a=block   b=group           (emulator lane)
+//   inlet-load        a=block   b=group           (emulator lane; the
+//                     synchronous Inlet load of `pipeline 0` traces)
 //   outlet-done       a=block   b=0               (kernel lane)
 //   block-promote     a=block   b=group           (emulator lane)
 #pragma once
@@ -84,13 +87,7 @@ struct ExecTrace {
   /// as an optional `shards <S>` clause on the config line; absent in
   /// pre-shard traces, which load as 0.
   std::uint16_t shards = 0;
-  /// Coalesced range-update publishing (RuntimeOptions::
-  /// coalesce_updates). Optional `coalesce <0|1>` config clause;
-  /// absent in older traces, which load as 1 (the default) - the
-  /// replayed DataPlane tally must batch forwards the same way the
-  /// runtime did.
-  bool coalesce = true;
-  /// Managed data plane enabled (RuntimeOptions::dataplane). Optional
+  /// Managed data plane enabled (RunOptions::dataplane). Optional
   /// `dataplane <0|1>` config clause; absent in older traces, which
   /// load as 0 (those runtimes had no data plane to reconcile).
   bool dataplane = false;

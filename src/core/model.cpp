@@ -610,7 +610,6 @@ ExecTrace make_trace_shell(const Program& program,
   trace.policy = "model";
   trace.pipelined = options.pipelined;
   trace.lockfree = true;
-  trace.coalesce = true;
   trace.dataplane = false;
   return trace;
 }

@@ -20,6 +20,18 @@ const char* to_string(PolicyKind kind) {
   return "?";
 }
 
+bool parse_policy(const std::string& name, PolicyKind& out) {
+  for (PolicyKind kind :
+       {PolicyKind::kFifo, PolicyKind::kLocality, PolicyKind::kAdaptive,
+        PolicyKind::kHier, PolicyKind::kAffinity}) {
+    if (name == to_string(kind)) {
+      out = kind;
+      return true;
+    }
+  }
+  return false;
+}
+
 ReadySet::ReadySet(std::uint16_t num_kernels, PolicyKind policy,
                    const ShardMap* shards)
     : policy_(policy),

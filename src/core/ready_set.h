@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/topology.h"
@@ -41,6 +42,10 @@ enum class PolicyKind : std::uint8_t {
 };
 
 const char* to_string(PolicyKind kind);
+
+/// Parse a policy name as to_string() spells it. Returns false (out
+/// untouched) on an unknown name.
+bool parse_policy(const std::string& name, PolicyKind& out);
 
 /// Deterministic ready-DThread pool. Not thread-safe: platform TSUs
 /// serialize access (the TSU Group is a single unit in the paper).

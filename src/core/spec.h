@@ -8,7 +8,11 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <type_traits>
+
+#include "core/error.h"
 
 namespace tflux::core {
 
@@ -20,6 +24,25 @@ namespace tflux::core {
 /// violation - callers turn that into their own diagnostic.
 bool parse_spec_uint(const std::string& text, std::uint64_t max,
                      bool min_one, std::uint64_t& out);
+
+/// Command-line form of parse_spec_uint: parse `value`, the text after
+/// `flag`=, into `out`, bounded by the range of T (and >= 1 with
+/// `min_one`). Throws TFluxError naming `tool` and `flag` on any
+/// violation, so a value the destination cannot hold is rejected
+/// instead of wrapped.
+template <typename T>
+void parse_flag_uint(const std::string& tool, const std::string& flag,
+                     const std::string& value, bool min_one, T& out) {
+  static_assert(std::is_unsigned_v<T>, "parse_flag_uint fills unsigned fields");
+  const std::uint64_t max = std::numeric_limits<T>::max();
+  std::uint64_t parsed = 0;
+  if (!parse_spec_uint(value, max, min_one, parsed)) {
+    throw TFluxError(tool + ": " + flag + " expects an integer in [" +
+                     (min_one ? "1" : "0") + ", " + std::to_string(max) +
+                     "], got '" + value + "'");
+  }
+  out = static_cast<T>(parsed);
+}
 
 /// Split a `key:value` spec at the first ':'. Returns false when
 /// `spec` has no ':'; `key`/`value` are only written on success (an

@@ -88,10 +88,8 @@ void TsuState::complete(ThreadId tid) {
     case ThreadKind::kApplication: {
       ++counters_.threads_completed;
       if (dataplane_ != nullptr) {
-        // The single-threaded TSUs always batch per coalesced run: the
-        // forward happens once per producer/consumer-run pair.
-        for (const ForwardRun& run :
-             dataplane_->forward_runs(tid, /*coalesce=*/true)) {
+        // The forward happens once per producer/consumer-run pair.
+        for (const ForwardRun& run : dataplane_->forward_runs(tid)) {
           ++counters_.forwards;
           counters_.bytes_forwarded += run.bytes;
         }

@@ -91,7 +91,7 @@ struct VerifyOptions {
   std::uint32_t tsu_capacity = 0;
   /// Target kernel count for the home-kernel range check; 0 disables.
   std::uint16_t num_kernels = 0;
-  /// Capacity of one lock-free TUB lane (RuntimeOptions::
+  /// Capacity of one lock-free TUB lane (RunOptions::
   /// tub_lane_capacity) for the lane-capacity-stall check: a DThread
   /// whose consumer list exceeds this cannot publish its completion
   /// in one batch - the runtime must chunk and may stall the kernel

@@ -37,9 +37,6 @@ TsuEmulator::TsuEmulator(const core::Program& program, TubGroup& tubs,
         "TsuEmulator: group " + std::to_string(options_.group) +
         " owns no kernels (more TSU groups than kernels)");
   }
-  low_water_ = options_.prefetch_low_water != 0
-                   ? options_.prefetch_low_water
-                   : static_cast<std::uint32_t>(2 * my_kernels_.size());
   if (options_.trace) {
     trace_lane_ = options_.trace->emulator_lane(options_.group);
   }
@@ -291,11 +288,12 @@ void TsuEmulator::dispatch_steal_grant(core::ThreadId tid) {
 }
 
 void TsuEmulator::maybe_prefetch() {
-  if (!options_.block_pipeline || my_block_ == core::kInvalidBlock) return;
+  if (my_block_ == core::kInvalidBlock) return;
   const auto next = static_cast<core::BlockId>(my_block_ + 1);
   if (next >= program_.num_blocks()) return;
   if (sm_.shadow_block(options_.group) == next) return;  // already staged
-  if (partition_outstanding_ > low_water_) return;
+  // Low-water mark: at most two dispatches per owned kernel remain.
+  if (partition_outstanding_ > 2 * my_kernels_.size()) return;
   sm_.preload_shadow(next, options_.group, options_.num_groups);
 }
 
@@ -386,55 +384,53 @@ bool TsuEmulator::handle_update(const TubEntry& entry) {
     }
     return true;
   }
-  if (options_.block_pipeline) {
-    // An update can only race one block ahead of this group: a DThread
-    // of block b+1 is dispatchable only after OutletDone(b), i.e.
-    // after every group (this one included) finished block b's
-    // updates. Apply it to the shadow generation, staging it first if
-    // the low-water prefetch has not fired yet.
-    const auto next = my_block_ == core::kInvalidBlock
-                          ? static_cast<core::BlockId>(0)
-                          : static_cast<core::BlockId>(my_block_ + 1);
-    if (block == next && next < program_.num_blocks()) {
-      if (sm_.shadow_block(options_.group) != next) {
-        sm_.preload_shadow(next, options_.group, options_.num_groups);
-      }
-      if (range) {
-        zeroed_.clear();
-        const std::size_t n = range_decrement(
-            /*shadow=*/true, tid, static_cast<core::ThreadId>(entry.hi));
-        stats_.updates_processed += n;
-        ++stats_.range_updates_processed;
-        stats_.range_members += n;
-        for (core::ThreadId z : zeroed_) {
-          if (options_.trace) {
-            options_.trace->record(trace_lane_,
-                                   core::TraceEvent::kShadowDecrement, z, 1);
-          }
-          dispatch(z);
-          ++shadow_predispatched_;
+  // An update can only race one block ahead of this group: a DThread
+  // of block b+1 is dispatchable only after OutletDone(b), i.e.
+  // after every group (this one included) finished block b's
+  // updates. Apply it to the shadow generation, staging it first if
+  // the low-water prefetch has not fired yet.
+  const auto next = my_block_ == core::kInvalidBlock
+                        ? static_cast<core::BlockId>(0)
+                        : static_cast<core::BlockId>(my_block_ + 1);
+  if (block == next && next < program_.num_blocks()) {
+    if (sm_.shadow_block(options_.group) != next) {
+      sm_.preload_shadow(next, options_.group, options_.num_groups);
+    }
+    if (range) {
+      zeroed_.clear();
+      const std::size_t n = range_decrement(
+          /*shadow=*/true, tid, static_cast<core::ThreadId>(entry.hi));
+      stats_.updates_processed += n;
+      ++stats_.range_updates_processed;
+      stats_.range_members += n;
+      for (core::ThreadId z : zeroed_) {
+        if (options_.trace) {
+          options_.trace->record(trace_lane_,
+                                 core::TraceEvent::kShadowDecrement, z, 1);
         }
-        maybe_inject_lost_update(/*shadow=*/true, tid,
-                                 static_cast<core::ThreadId>(entry.hi));
-        return true;
-      }
-      if (!guard_.update_applied(tid)) return true;  // underflow shield
-      ++stats_.updates_processed;
-      const bool zero = sm_.decrement_shadow(tid, options_.thread_indexing,
-                                             &stats_.sm_search_steps);
-      if (options_.trace) {
-        options_.trace->record(trace_lane_,
-                               core::TraceEvent::kShadowDecrement, tid,
-                               zero ? 1 : 0);
-      }
-      if (zero) {
-        dispatch(tid);
+        dispatch(z);
         ++shadow_predispatched_;
-      } else {
-        maybe_inject_lost_update(/*shadow=*/true, tid, tid);
       }
+      maybe_inject_lost_update(/*shadow=*/true, tid,
+                               static_cast<core::ThreadId>(entry.hi));
       return true;
     }
+    if (!guard_.update_applied(tid)) return true;  // underflow shield
+    ++stats_.updates_processed;
+    const bool zero = sm_.decrement_shadow(tid, options_.thread_indexing,
+                                           &stats_.sm_search_steps);
+    if (options_.trace) {
+      options_.trace->record(trace_lane_,
+                             core::TraceEvent::kShadowDecrement, tid,
+                             zero ? 1 : 0);
+    }
+    if (zero) {
+      dispatch(tid);
+      ++shadow_predispatched_;
+    } else {
+      maybe_inject_lost_update(/*shadow=*/true, tid, tid);
+    }
+    return true;
   }
   // Raced ahead of a block this group cannot account yet (only
   // possible with several TSU groups); defer until activation. The
@@ -452,24 +448,17 @@ void TsuEmulator::activate_block(core::BlockId block, bool dispatch_inlet) {
   const core::Block& blk = program_.block(block);
   // Activation ticket drawn before any of the block's dispatches.
   if (options_.trace) {
-    options_.trace->record(trace_lane_,
-                           options_.block_pipeline
-                               ? core::TraceEvent::kBlockPromote
-                               : core::TraceEvent::kInletLoad,
+    options_.trace->record(trace_lane_, core::TraceEvent::kBlockPromote,
                            block, options_.group);
   }
   guard_.activate(block, options_.group);
-  if (options_.block_pipeline) {
-    if (sm_.shadow_block(options_.group) == block) {
-      ++stats_.prefetch_hits;
-    } else {
-      ++stats_.prefetch_misses;
-      sm_.preload_shadow(block, options_.group, options_.num_groups);
-    }
-    sm_.promote_shadow(options_.group, options_.num_groups);
+  if (sm_.shadow_block(options_.group) == block) {
+    ++stats_.prefetch_hits;
   } else {
-    sm_.load_block_partition(block, options_.group, options_.num_groups);
+    ++stats_.prefetch_misses;
+    sm_.preload_shadow(block, options_.group, options_.num_groups);
   }
+  sm_.promote_shadow(options_.group, options_.num_groups);
   my_block_ = block;
   ++stats_.blocks_loaded;
   partition_outstanding_ =
@@ -497,22 +486,14 @@ void TsuEmulator::activate_block(core::BlockId block, bool dispatch_inlet) {
 }
 
 void TsuEmulator::run() {
-  if (options_.block_pipeline) {
-    // Stage block 0 before anything executes, so the coordinator's
-    // activation (and every other group's first LoadBlock) is a hit.
-    sm_.preload_shadow(0, options_.group, options_.num_groups);
-  }
+  // Stage block 0 before anything executes, so the coordinator's
+  // activation (and every other group's first LoadBlock) is a hit.
+  sm_.preload_shadow(0, options_.group, options_.num_groups);
   if (options_.group == 0) {
-    if (options_.block_pipeline) {
-      // Arm the program: activate block 0 and dispatch its first wave
-      // together with the Inlet (which now only does accounting - its
-      // SM load became the flip above).
-      activate_block(0, /*dispatch_inlet=*/true);
-    } else {
-      // Arm the program: the first block's Inlet (homed on kernel 0,
-      // which group 0 always owns).
-      dispatch(program_.block(0).inlet);
-    }
+    // Arm the program: activate block 0 and dispatch its first wave
+    // together with the Inlet (which only does accounting - its SM
+    // load became the flip above).
+    activate_block(0, /*dispatch_inlet=*/true);
   }
 
   std::vector<TubEntry> buf;
@@ -525,14 +506,13 @@ void TsuEmulator::run() {
       switch (e.kind) {
         case TubEntry::Kind::kLoadBlock: {
           const auto block = static_cast<core::BlockId>(e.id);
-          // In pipelined mode the Inlet is pure accounting, so nothing
-          // orders its broadcast before the block's OutletDone: a
-          // backlogged Inlet of block b may land after the coordinator
-          // already chained past b. Any broadcast at or behind the
-          // current block is stale; re-activating would re-dispatch
-          // that block's first wave.
-          if (options_.block_pipeline &&
-              my_block_ != core::kInvalidBlock && block <= my_block_) {
+          // The Inlet is pure accounting, so nothing orders its
+          // broadcast before the block's OutletDone: a backlogged Inlet
+          // of block b may land after the coordinator already chained
+          // past b. Any broadcast at or behind the current block is
+          // stale; re-activating would re-dispatch that block's first
+          // wave.
+          if (my_block_ != core::kInvalidBlock && block <= my_block_) {
             break;
           }
           activate_block(block, /*dispatch_inlet=*/false);
@@ -556,14 +536,10 @@ void TsuEmulator::run() {
           guard_.retire(block);
           const auto next = static_cast<core::BlockId>(block + 1);
           if (next < program_.num_blocks()) {
-            if (options_.block_pipeline) {
-              // Coordinator fast path: flip to the (pre)staged next
-              // block and push its first wave right now, instead of
-              // waiting a full kernel round trip for the Inlet.
-              activate_block(next, /*dispatch_inlet=*/true);
-            } else {
-              dispatch(program_.block(next).inlet);
-            }
+            // Coordinator fast path: flip to the (pre)staged next block
+            // and push its first wave right now, instead of waiting a
+            // full kernel round trip for the Inlet.
+            activate_block(next, /*dispatch_inlet=*/true);
           } else {
             // Program finished: every emulator (including this one)
             // receives the shutdown through its TUB.

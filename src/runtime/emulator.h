@@ -21,19 +21,17 @@
 // stays the common case). The receiving emulator dispatches the
 // granted DThread to its shallowest local mailbox.
 //
-// Block pipeline (Options::block_pipeline, default on): instead of a
-// synchronous SyncMemoryGroup reload at every block boundary, the
-// emulator stages the next block's Ready Counts in the shadow SM
-// generation once the current block's outstanding-dispatch count falls
-// below a low-water mark, applies cross-block updates that race ahead
-// of the flip directly to that shadow, and activates the next block
-// with a single generation flip. The coordinator flips at OutletDone -
-// before the next Inlet has even been scheduled - so the first wave of
-// the next block reaches the mailboxes without waiting for a kernel
-// round trip. The Inlet still executes (accounting parity with the
-// paper's protocol); only its SM-load work has moved off the critical
-// path. The synchronous reload path stays selectable as the ablation
-// baseline, mirroring the lockfree / --mutex-runtime pattern.
+// Block pipeline: instead of a synchronous SyncMemoryGroup reload at
+// every block boundary, the emulator stages the next block's Ready
+// Counts in the shadow SM generation once the current block's
+// outstanding-dispatch count falls to 2 x its owned kernels, applies
+// cross-block updates that race ahead of the flip directly to that
+// shadow, and activates the next block with a single generation flip.
+// The coordinator flips at OutletDone - before the next Inlet has even
+// been scheduled - so the first wave of the next block reaches the
+// mailboxes without waiting for a kernel round trip. The Inlet still
+// executes (accounting parity with the paper's protocol); only its
+// SM-load work has moved off the critical path.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +66,7 @@ struct alignas(kCacheLine) EmulatorStats {
   std::uint64_t prefetch_hits = 0;
   /// Activations that had to load the shadow synchronously (flip
   /// happened before the low-water prefetch fired). hits + misses ==
-  /// blocks_loaded in pipelined mode; both stay 0 in synchronous mode.
+  /// blocks_loaded.
   std::uint64_t prefetch_misses = 0;
   /// Updates applied from the deferred queue (raced ahead of a block
   /// neither current nor next; rare once the shadow path exists).
@@ -146,12 +144,6 @@ class TsuEmulator {
     /// This emulator's TSU Group and the total group count.
     std::uint16_t group = 0;
     std::uint16_t num_groups = 1;
-    /// Pipelined block transitions (shadow-generation preload + flip).
-    /// Off = synchronous SM reload at every boundary (ablation).
-    bool block_pipeline = true;
-    /// Outstanding-dispatch low-water mark that triggers the shadow
-    /// preload of the next block. 0 = auto (2 x owned kernels).
-    std::uint32_t prefetch_low_water = 0;
     /// kAdaptive / kHier: keep a DThread on its home kernel while that
     /// mailbox holds at most this many undelivered DThreads; beyond
     /// it, route to the shallowest owned mailbox.
@@ -217,10 +209,10 @@ class TsuEmulator {
   /// mailbox.
   void dispatch_steal_grant(core::ThreadId tid);
   /// Make `block` the group's current block: flip the (pre)loaded
-  /// shadow generation in (or reload synchronously in the ablation
-  /// baseline), reset the outstanding count, optionally dispatch the
-  /// block's Inlet (coordinator fast path), dispatch the zero-Ready-
-  /// Count first wave, and replay any applicable deferred updates.
+  /// shadow generation in, reset the outstanding count, optionally
+  /// dispatch the block's Inlet (coordinator fast path), dispatch the
+  /// zero-Ready-Count first wave, and replay any applicable deferred
+  /// updates.
   void activate_block(core::BlockId block, bool dispatch_inlet);
   /// Apply one kUpdate or kRangeUpdate: to the current generation, to
   /// the shadow (pipelined cross-block update), or defer it. A range
@@ -259,13 +251,12 @@ class TsuEmulator {
   std::size_t rr_next_ = 0;  // round-robin cursor for kFifo routing
   /// Block this group has activated (current SM generation).
   core::BlockId my_block_ = core::kInvalidBlock;
-  /// Partition slots of my_block_ not yet dispatched; reaching
-  /// low_water_ triggers the shadow preload of the next block.
+  /// Partition slots of my_block_ not yet dispatched; falling to 2 x
+  /// owned kernels triggers the shadow preload of the next block.
   std::size_t partition_outstanding_ = 0;
   /// Next-block DThreads already dispatched through the shadow path
   /// (subtracted from partition_outstanding_ at activation).
   std::size_t shadow_predispatched_ = 0;
-  std::uint32_t low_water_ = 0;  ///< resolved prefetch_low_water
   /// Updates that raced ahead of a block neither current nor next
   /// (only possible with several TSU groups, and rare even then now
   /// that next-block updates go straight to the shadow generation).

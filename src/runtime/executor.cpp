@@ -13,8 +13,7 @@
 #include <vector>
 
 #include "core/error.h"
-#include "core/topology.h"
-#include "runtime/trace_log.h"
+#include "runtime/run_frame.h"
 
 namespace tflux::runtime {
 namespace {
@@ -32,35 +31,20 @@ void pin_self_to_cpu(unsigned cpu) {
 }  // namespace
 
 struct Executor::Impl {
-  /// One admitted program instance: the complete partition-width
-  /// runtime state of one run, assembled by the dispatcher (off the
-  /// workers' critical path when stage_depth > 1) and executed by the
-  /// partition's resident workers. Mirrors Runtime::run()'s frame with
-  /// every object scoped to this instance - nothing is shared with
-  /// other tenants or with the next run of the same tenant, which is
-  /// what makes traces replay standalone and guard findings
-  /// attributable.
+  /// One admitted program instance: a partition-width RunFrame
+  /// assembled by the dispatcher (off the workers' critical path when
+  /// stage_depth > 1) and executed by the partition's resident
+  /// workers, plus its admission metadata. Nothing in the frame is
+  /// shared with other tenants or with the next run of the same
+  /// tenant, which is what makes traces replay standalone and guard
+  /// findings attributable.
   struct Instance {
-    const core::Program& program;
+    RunFrame frame;
     std::uint64_t ticket;
     core::ProgramHandle handle;
     std::uint16_t tenant;
-    std::uint16_t width;
-    std::uint16_t groups;
-    core::ExecTrace* trace_out;
     std::chrono::steady_clock::time_point submitted_at;
     std::promise<RunResult> promise;
-
-    // Dependency order: later members reference earlier ones.
-    std::optional<core::ShardMap> shard_map;
-    std::unique_ptr<core::DataPlane> dataplane;
-    std::optional<SyncMemoryGroup> sm;
-    std::optional<TubGroup> tubs;
-    std::deque<Mailbox> mailboxes;
-    std::unique_ptr<TraceLog> trace_log;
-    std::unique_ptr<core::Guard> guard;
-    std::deque<TsuEmulator> emulators;
-    std::deque<Kernel> kernels;
 
     /// First worker to pick the instance up stamps started_at.
     std::atomic<bool> started{false};
@@ -69,85 +53,20 @@ struct Executor::Impl {
     /// finalizes the result.
     std::atomic<int> remaining{0};
 
-    Instance(const core::Program& p, std::uint64_t ticket_,
-             core::ProgramHandle handle_, std::uint16_t tenant_,
-             const ExecutorOptions& opts, const core::GuardOptions& guard_opts,
-             core::ExecTrace* trace_out_,
+    /// The frame's TraceLog never arms the process-global emergency
+    /// flush: that is single-run machinery, and a resident pool has
+    /// many concurrent candidates for it.
+    Instance(const core::Program& program, const RuntimeOptions& options,
+             const RunRequest& request, std::uint64_t ticket_,
+             std::uint16_t tenant_,
              std::chrono::steady_clock::time_point submitted)
-        : program(p),
+        : frame(program, options, request.guard, request.trace, nullptr),
           ticket(ticket_),
-          handle(handle_),
+          handle(request.handle),
           tenant(tenant_),
-          width(opts.partition_width),
-          groups(opts.shards >= 1 ? opts.shards : opts.tsu_groups),
-          trace_out(trace_out_),
           submitted_at(submitted) {
-      const bool sharded = opts.shards >= 1;
-      if (sharded) {
-        shard_map = core::ShardMap::clustered(width, opts.shards);
-      }
-      const core::ShardMap* map_ptr = sharded ? &*shard_map : nullptr;
-      if (opts.dataplane) {
-        dataplane = std::make_unique<core::DataPlane>(program, map_ptr);
-      }
-      sm.emplace(program, width);
-      sm->set_shard_map(map_ptr);
-      const std::uint32_t num_lanes = width + (sharded ? groups : 0u);
-      tubs.emplace(program, *sm,
-                   TubGroupOptions{
-                       .num_groups = groups,
-                       .lockfree = opts.lockfree,
-                       .num_lanes = num_lanes,
-                       .lane_capacity = opts.tub_lane_capacity,
-                       .coalesce = opts.coalesce_updates,
-                       .shard_map = map_ptr,
-                   });
-      std::size_t peak_block = 0;
-      for (const core::Block& blk : program.blocks()) {
-        peak_block = std::max(peak_block, blk.app_threads.size());
-      }
-      const std::size_t mailbox_capacity =
-          std::max<std::size_t>(64, peak_block + 4);
-      for (core::KernelId k = 0; k < width; ++k) {
-        mailboxes.emplace_back(opts.lockfree, mailbox_capacity);
-      }
-      if (trace_out != nullptr) {
-        // Per-instance trace lanes: kernel lanes 0..W-1 and emulator
-        // lanes W..W+G-1 cover exactly this run, so the trace replays
-        // standalone through tflux_check while other tenants are in
-        // flight. The process-global emergency-flush slot is never
-        // armed here - it is single-run machinery, and a resident pool
-        // has many concurrent candidates for it.
-        trace_log = std::make_unique<TraceLog>(width, groups);
-      }
-      if (guard_opts.mode != core::GuardMode::kOff) {
-        // Per-instance epoch words: this Guard covers only this run's
-        // DThreads and block generations, so one tenant's finding
-        // never implicates another tenant's run.
-        guard =
-            std::make_unique<core::Guard>(program, guard_opts, width, groups);
-      }
-      tubs->set_guard(guard.get());
-      for (std::uint16_t g = 0; g < groups; ++g) {
-        emulators.emplace_back(program, *tubs, *sm, mailboxes,
-                               TsuEmulator::Options{
-                                   .policy = opts.policy,
-                                   .group = g,
-                                   .num_groups = groups,
-                                   .block_pipeline = opts.block_pipeline,
-                                   .shard_map = map_ptr,
-                                   .steal_threshold = opts.steal_threshold,
-                                   .dataplane = dataplane.get(),
-                                   .trace = trace_log.get(),
-                                   .guard = guard.get(),
-                               });
-      }
-      for (core::KernelId k = 0; k < width; ++k) {
-        kernels.emplace_back(program, k, mailboxes[k], *tubs, trace_log.get(),
-                             GuardHook{guard.get(), k}, nullptr,
-                             dataplane.get());
-      }
-      remaining.store(width + groups, std::memory_order_relaxed);
+      remaining.store(frame.width() + frame.groups(),
+                      std::memory_order_relaxed);
     }
   };
 
@@ -182,6 +101,10 @@ struct Executor::Impl {
 
   core::ProgramRegistry& registry;
   ExecutorOptions options;
+  /// What every instance's RunFrame is built from: the executor's
+  /// RunOptions at partition width, the rest at RuntimeOptions'
+  /// defaults.
+  RuntimeOptions run_options;
   std::vector<core::TenantPartition> plan;
   std::deque<Partition> partitions;
 
@@ -215,17 +138,19 @@ struct Executor::Impl {
 
   Impl(core::ProgramRegistry& reg, ExecutorOptions opts)
       : registry(reg), options(opts) {
+    run_options.num_kernels = options.partition_width;
+    run_options.run = options.run;
     if (options.pool_kernels == 0) {
       throw core::TFluxError("Executor: pool_kernels must be >= 1");
     }
     plan = core::make_partition_plan(options.pool_kernels,
                                      options.partition_width);
-    if (options.tsu_groups == 0 ||
-        options.tsu_groups > options.partition_width) {
+    if (options.run.tsu_groups == 0 ||
+        options.run.tsu_groups > options.partition_width) {
       throw core::TFluxError(
           "Executor: tsu_groups must be in [1, partition_width]");
     }
-    if (options.shards > options.partition_width) {
+    if (options.run.shards > options.partition_width) {
       throw core::TFluxError("Executor: shards must be <= partition_width");
     }
     if (options.stage_depth == 0) {
@@ -234,8 +159,9 @@ struct Executor::Impl {
     if (options.queue_capacity == 0) {
       throw core::TFluxError("Executor: queue_capacity must be >= 1");
     }
-    const std::uint16_t groups =
-        options.shards >= 1 ? options.shards : options.tsu_groups;
+    const std::uint16_t groups = options.run.shards >= 1
+                                     ? options.run.shards
+                                     : options.run.tsu_groups;
     const std::uint16_t roles =
         static_cast<std::uint16_t>(options.partition_width + groups);
     for (const core::TenantPartition& part : plan) {
@@ -274,7 +200,7 @@ struct Executor::Impl {
   }
 
   void worker(Partition& p, std::uint16_t role, std::uint16_t groups) {
-    if (options.pin_threads) {
+    if (options.run.pin_threads) {
       // Kernel roles pack onto the pool's kernel CPUs; emulator roles
       // follow after the pool, grouped by tenant.
       const unsigned cpu =
@@ -303,9 +229,9 @@ struct Executor::Impl {
         inst->started_at = std::chrono::steady_clock::now();
       }
       if (role < options.partition_width) {
-        inst->kernels[role].run();
+        inst->frame.kernels()[role].run();
       } else {
-        inst->emulators[role - options.partition_width].run();
+        inst->frame.emulators()[role - options.partition_width].run();
       }
       if (inst->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         finalize(p, *inst);
@@ -317,19 +243,7 @@ struct Executor::Impl {
   /// the result, releases the handle and the partition slot.
   void finalize(Partition& p, Instance& inst) {
     const auto t1 = std::chrono::steady_clock::now();
-    if (inst.trace_log != nullptr) {
-      core::ExecTrace& trace = *inst.trace_out;
-      trace.program = inst.program.name();
-      trace.kernels = inst.width;
-      trace.groups = inst.groups;
-      trace.policy = core::to_string(options.policy);
-      trace.pipelined = options.block_pipeline;
-      trace.lockfree = options.lockfree;
-      trace.shards = options.shards;
-      trace.coalesce = options.coalesce_updates;
-      trace.dataplane = options.dataplane;
-      trace.records = inst.trace_log->finish();
-    }
+    inst.frame.finish_trace();
 
     RunResult result;
     result.instance = inst.ticket;
@@ -343,21 +257,8 @@ struct Executor::Impl {
         std::chrono::duration<double>(t1 - inst.started_at).count();
     result.latency_seconds =
         std::chrono::duration<double>(t1 - inst.submitted_at).count();
-    result.stats.wall_seconds = result.run_seconds;
-    result.stats.tub = inst.tubs->aggregated_stats();
-    for (const TsuEmulator& e : inst.emulators) {
-      result.stats.emulators.push_back(e.stats());
-      result.stats.emulator += e.stats();
-    }
-    result.stats.kernels.reserve(inst.kernels.size());
-    for (const Kernel& k : inst.kernels) {
-      result.stats.kernels.push_back(k.stats());
-    }
-    if (inst.guard) {
-      result.stats.guard = inst.guard->stats();
-      result.stats.guard_violations = inst.guard->violations();
-      result.guard_clean = result.stats.guard_violations.empty();
-    }
+    result.stats = inst.frame.stats(result.run_seconds);
+    result.guard_clean = result.stats.guard_violations.empty();
     latency_.add(result.latency_seconds);
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -441,10 +342,9 @@ struct Executor::Impl {
         // previous run has finalized before this reset touches the
         // buffers its DThreads captured.
         if (entry.reset) entry.reset();
-        inst = std::make_shared<Instance>(
-            *entry.program, pend.ticket, pend.request.handle, p.part.tenant,
-            options, pend.request.guard, pend.request.trace,
-            pend.submitted_at);
+        inst = std::make_shared<Instance>(*entry.program, run_options,
+                                          pend.request, pend.ticket,
+                                          p.part.tenant, pend.submitted_at);
       } catch (...) {
         pend.promise.set_exception(std::current_exception());
         {

@@ -49,11 +49,6 @@ struct ExecutorOptions {
   /// Kernels per tenant partition (programs run at this width and
   /// must be built for <= this many kernels).
   std::uint16_t partition_width = 2;
-  /// TSU groups per partition (each partition gets its own
-  /// emulator(s); must be <= partition_width).
-  std::uint16_t tsu_groups = 1;
-  /// Sharded TSU per partition (0 = flat; must be <= partition_width).
-  std::uint16_t shards = 0;
   /// Admission queue bound: submit() blocks (backpressure) and
   /// try_submit() rejects once this many requests are waiting.
   std::size_t queue_capacity = 64;
@@ -61,16 +56,11 @@ struct ExecutorOptions {
   /// when idle; 2 (default) = stage the next instance while the
   /// current one runs, hiding its SM/TUB build time behind execution.
   std::uint16_t stage_depth = 2;
-  core::PolicyKind policy = core::PolicyKind::kLocality;
-  bool lockfree = true;
-  bool block_pipeline = true;
-  bool coalesce_updates = true;
-  bool dataplane = true;
-  /// Pin partition p's workers to CPUs p*(width+groups)... (wraps
-  /// around the host count; best effort).
-  bool pin_threads = false;
-  std::uint32_t tub_lane_capacity = 256;
-  std::uint32_t steal_threshold = 4;
+  /// Applied to every admitted instance. run.tsu_groups and run.shards
+  /// must be <= partition_width; run.pin_threads puts kernel workers
+  /// on the pool's kernel CPUs and emulator workers on the CPUs after
+  /// the pool (wrapping around the host count; best effort).
+  RunOptions run{};
 };
 
 /// One admission request: which registered program to run, and the

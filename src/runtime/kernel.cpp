@@ -58,23 +58,15 @@ void Kernel::post_process(const core::DThread& t) {
       for (int i = 0; i < publishes; ++i) {
         if (trace_) {
           // Trace what is actually published: one range-update record
-          // per coalesced run, unit records otherwise - so ddmcheck
-          // verifies the coalesced protocol itself, expanding each
-          // range back to its declared unit arcs.
-          if (tubs_.coalesce() && !t.consumer_runs.empty()) {
-            for (const core::DThread::ConsumerRun& run : t.consumer_runs) {
-              if (run.lo == run.hi) {
-                trace_->record(id_, core::TraceEvent::kUpdate, t.id,
-                               run.lo);
-              } else {
-                trace_->record(id_, core::TraceEvent::kRangeUpdate, t.id,
-                               run.lo, run.hi);
-              }
-            }
-          } else {
-            for (const core::ThreadId consumer : t.consumers) {
-              trace_->record(id_, core::TraceEvent::kUpdate, t.id,
-                             consumer);
+          // per coalesced run, a unit record per singleton - so
+          // ddmcheck verifies the coalesced protocol itself, expanding
+          // each range back to its declared unit arcs.
+          for (const core::DThread::ConsumerRun& run : t.consumer_runs) {
+            if (run.lo == run.hi) {
+              trace_->record(id_, core::TraceEvent::kUpdate, t.id, run.lo);
+            } else {
+              trace_->record(id_, core::TraceEvent::kRangeUpdate, t.id,
+                             run.lo, run.hi);
             }
           }
         }
@@ -106,11 +98,10 @@ void Kernel::run() {
     ++stats_.threads_executed;
     if (t.is_application()) ++stats_.app_threads_executed;
     if (dataplane_ != nullptr && t.is_application()) {
-      // One bulk forward per coalesced [lo, hi] run (or per consumer
-      // in the unit ablation), counted once per completion - the
-      // double-publish fault duplicates updates, never forwards.
-      for (const core::ForwardRun& run :
-           dataplane_->forward_runs(tid, tubs_.coalesce())) {
+      // One bulk forward per coalesced [lo, hi] run, counted once per
+      // completion - the double-publish fault duplicates updates,
+      // never forwards.
+      for (const core::ForwardRun& run : dataplane_->forward_runs(tid)) {
         ++stats_.forwards;
         stats_.bytes_forwarded += run.bytes;
       }

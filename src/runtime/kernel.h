@@ -33,8 +33,8 @@ struct alignas(kCacheLine) KernelStats {
   /// included) - what the kAdaptive dispatch policy tries to flatten.
   std::uint64_t mailbox_backlog_peak = 0;
   /// Data plane only: bulk forwards this kernel's completions
-  /// performed (one per coalesced [lo, hi] run, or one per consumer
-  /// in the unit ablation) and the payload bytes they carried.
+  /// performed (one per coalesced [lo, hi] run) and the payload bytes
+  /// they carried.
   std::uint64_t forwards = 0;
   std::uint64_t bytes_forwarded = 0;
 

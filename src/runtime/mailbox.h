@@ -2,7 +2,7 @@
 // a ready DThread" query by dropping the DThread id here. Single
 // producer (the owning emulator), single consumer (the owning Kernel).
 //
-// Two selectable implementations (RuntimeOptions::lockfree):
+// Two selectable implementations (RunOptions::lockfree):
 //  - lock-free (default): a fixed-capacity SPSC ring with
 //    spin-then-park waiting on the Kernel side. The Runtime sizes the
 //    ring to the largest DDM Block, so the emulator's put() never

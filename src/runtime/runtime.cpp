@@ -5,14 +5,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
-#include <memory>
-#include <optional>
 #include <thread>
 
 #include "core/error.h"
-#include "core/topology.h"
-#include "runtime/trace_log.h"
+#include "runtime/run_frame.h"
 
 namespace tflux::runtime {
 namespace {
@@ -112,12 +108,12 @@ Runtime::Runtime(const core::Program& program, RuntimeOptions options)
   if (options_.num_kernels == 0) {
     throw core::TFluxError("Runtime: num_kernels must be >= 1");
   }
-  if (options_.tsu_groups == 0 ||
-      options_.tsu_groups > options_.num_kernels) {
+  if (options_.run.tsu_groups == 0 ||
+      options_.run.tsu_groups > options_.num_kernels) {
     throw core::TFluxError(
         "Runtime: tsu_groups must be in [1, num_kernels]");
   }
-  if (options_.shards > options_.num_kernels) {
+  if (options_.run.shards > options_.num_kernels) {
     throw core::TFluxError("Runtime: shards must be <= num_kernels");
   }
 }
@@ -125,191 +121,63 @@ Runtime::Runtime(const core::Program& program, RuntimeOptions options)
 RuntimeStats Runtime::run() {
   ++runs_;
 
-  // Sharded topology: replace the interleaved k % tsu_groups ownership
-  // with clustered shards, one emulator per shard. The map lives on
-  // this frame and every holder of the pointer is joined before run()
-  // returns.
-  const bool sharded = options_.shards >= 1;
-  const std::uint16_t groups = sharded ? options_.shards : options_.tsu_groups;
-  std::optional<core::ShardMap> shard_map;
-  if (sharded) {
-    shard_map = core::ShardMap::clustered(options_.num_kernels,
-                                          options_.shards);
-  }
-  const core::ShardMap* map_ptr = sharded ? &*shard_map : nullptr;
-
-  // Managed data plane: static forward/contribution tables plus the
-  // shared execution record kernels write and emulators score against.
-  std::unique_ptr<core::DataPlane> dataplane;
-  if (options_.dataplane) {
-    dataplane = std::make_unique<core::DataPlane>(program_, map_ptr);
-  }
-
-  SyncMemoryGroup sm(program_, options_.num_kernels);
-  sm.set_shard_map(map_ptr);
-  // Sharded mode appends one dedicated lane per emulator after the
-  // kernels' lanes: steal grants are emulator-published, and kernel
-  // lanes are SPSC with the kernel as sole producer.
-  const std::uint32_t num_lanes =
-      options_.num_kernels + (sharded ? groups : 0u);
-  TubGroup tubs(program_, sm,
-                TubGroupOptions{
-                    .num_groups = groups,
-                    .lockfree = options_.lockfree,
-                    .num_lanes = num_lanes,
-                    .lane_capacity = options_.tub_lane_capacity,
-                    .segments = options_.tub_segments,
-                    .segment_capacity = options_.tub_segment_capacity,
-                    .coalesce = options_.coalesce_updates,
-                    .shard_map = map_ptr,
-                });
-  // Size each mailbox ring to the largest block (plus chaining slack:
-  // next block's inlet and the exit sentinel can be queued alongside),
-  // so the emulator's put() never blocks on a full ring in practice.
-  std::size_t peak_block = 0;
-  for (const core::Block& blk : program_.blocks()) {
-    peak_block = std::max(peak_block, blk.app_threads.size());
-  }
-  const std::size_t mailbox_capacity = std::max<std::size_t>(
-      64, peak_block + 4);
-  std::deque<Mailbox> mailboxes;
-  for (core::KernelId k = 0; k < options_.num_kernels; ++k) {
-    mailboxes.emplace_back(options_.lockfree, mailbox_capacity);
-  }
-
-  std::unique_ptr<TraceLog> trace_log;
-  if (options_.trace != nullptr) {
-    trace_log = std::make_unique<TraceLog>(options_.num_kernels, groups);
-    if (options_.trace_emergency) {
-      // Abnormal teardown (exception unwinding through this frame, or
-      // exit() mid-run): persist the record prefix as a trace marked
-      // truncated. Captured state is by value except the options,
-      // which outlive the TraceLog.
-      trace_log->arm_emergency(
-          [this, groups](std::vector<core::TraceRecord>&& records) {
-            core::ExecTrace partial;
-            partial.program = program_.name();
-            partial.kernels = options_.num_kernels;
-            partial.groups = groups;
-            partial.policy = core::to_string(options_.policy);
-            partial.pipelined = options_.block_pipeline;
-            partial.lockfree = options_.lockfree;
-            partial.shards = options_.shards;
-            partial.coalesce = options_.coalesce_updates;
-            partial.dataplane = options_.dataplane;
-            partial.truncated = true;
-            partial.records = std::move(records);
-            options_.trace_emergency(partial);
-          });
-    }
-  }
-
-  std::unique_ptr<core::Guard> guard;
-  if (options_.guard.mode != core::GuardMode::kOff) {
-    guard = std::make_unique<core::Guard>(program_, options_.guard,
-                                          options_.num_kernels, groups);
-    if (trace_log) {
-      // First violation => persist the in-flight trace prefix, so the
-      // online finding and the offline replay triage the same run.
-      guard->set_on_first_violation(
-          [log = trace_log.get()] { log->request_emergency_dump(); });
-    }
-  }
-  tubs.set_guard(guard.get());
-
+  // The plan is resolved after the frame exists, so a rejected
+  // injection unwinds through an armed TraceLog like any other error;
+  // no actor reads it before the threads start.
   FaultPlan fault;
-  if (options_.inject_fault.kind != FaultInjection::Kind::kNone) {
-    if (!guard || guard->options().mode != core::GuardMode::kFull) {
+  const bool inject =
+      options_.inject_fault.kind != FaultInjection::Kind::kNone;
+  RunFrame frame(program_, options_, options_.guard, options_.trace,
+                 inject ? &fault : nullptr);
+  if (frame.trace_log() != nullptr && options_.trace_emergency) {
+    // Abnormal teardown (exception unwinding through this frame, or
+    // exit() mid-run): persist the record prefix as a trace marked
+    // truncated. The header is captured by value; the callback lives
+    // in options_, which outlives the TraceLog.
+    core::ExecTrace header;
+    frame.describe(header);
+    header.truncated = true;
+    frame.trace_log()->arm_emergency(
+        [this, header](std::vector<core::TraceRecord>&& records) mutable {
+          header.records = std::move(records);
+          options_.trace_emergency(header);
+        });
+  }
+  if (frame.guard() != nullptr && frame.trace_log() != nullptr) {
+    // First violation => persist the in-flight trace prefix, so the
+    // online finding and the offline replay triage the same run.
+    frame.guard()->set_on_first_violation(
+        [log = frame.trace_log()] { log->request_emergency_dump(); });
+  }
+  if (inject) {
+    if (options_.guard.mode != core::GuardMode::kFull) {
       throw core::TFluxError(
           "Runtime: fault injection requires --guard=full (the guard "
           "must account every block to contain the injected fault)");
     }
     resolve_fault(program_, options_.inject_fault, fault);
   }
-  FaultPlan* fault_ptr =
-      fault.kind != FaultInjection::Kind::kNone ? &fault : nullptr;
-
-  std::vector<TsuEmulator> emulators;
-  emulators.reserve(groups);
-  for (std::uint16_t g = 0; g < groups; ++g) {
-    emulators.emplace_back(
-        program_, tubs, sm, mailboxes,
-        TsuEmulator::Options{
-            .thread_indexing = options_.thread_indexing,
-            .policy = options_.policy,
-            .group = g,
-            .num_groups = groups,
-            .block_pipeline = options_.block_pipeline,
-            .prefetch_low_water = options_.prefetch_low_water,
-            .adaptive_backlog = options_.adaptive_backlog,
-            .shard_map = map_ptr,
-            .steal_threshold = options_.steal_threshold,
-            .dataplane = dataplane.get(),
-            .trace = trace_log.get(),
-            .guard = guard.get(),
-            .fault = fault_ptr,
-        });
-  }
-
-  std::vector<Kernel> kernels;
-  kernels.reserve(options_.num_kernels);
-  for (core::KernelId k = 0; k < options_.num_kernels; ++k) {
-    kernels.emplace_back(program_, k, mailboxes[k], tubs, trace_log.get(),
-                         GuardHook{guard.get(), k}, fault_ptr,
-                         dataplane.get());
-  }
 
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
-  threads.reserve(kernels.size() + emulators.size());
-  for (Kernel& k : kernels) {
+  threads.reserve(frame.kernels().size() + frame.emulators().size());
+  for (Kernel& k : frame.kernels()) {
     threads.emplace_back([&k] { k.run(); });
-    if (options_.pin_threads) {
-      pin_to_cpu(threads.back(), k.id());
+    if (options_.run.pin_threads) pin_to_cpu(threads.back(), k.id());
+  }
+  for (TsuEmulator& e : frame.emulators()) {
+    threads.emplace_back([&e] { e.run(); });
+    if (options_.run.pin_threads) {
+      pin_to_cpu(threads.back(), options_.num_kernels + e.group());
     }
   }
-  std::vector<std::thread> emulator_threads;
-  emulator_threads.reserve(emulators.size());
-  for (TsuEmulator& e : emulators) {
-    emulator_threads.emplace_back([&e] { e.run(); });
-    if (options_.pin_threads) {
-      pin_to_cpu(emulator_threads.back(),
-                 options_.num_kernels + e.group());
-    }
-  }
-
   for (std::thread& t : threads) t.join();
-  for (std::thread& t : emulator_threads) t.join();
   const auto t1 = std::chrono::steady_clock::now();
 
-  if (trace_log) {
-    core::ExecTrace& trace = *options_.trace;
-    trace.program = program_.name();
-    trace.kernels = options_.num_kernels;
-    trace.groups = groups;
-    trace.policy = core::to_string(options_.policy);
-    trace.pipelined = options_.block_pipeline;
-    trace.lockfree = options_.lockfree;
-    trace.shards = options_.shards;
-    trace.coalesce = options_.coalesce_updates;
-    trace.dataplane = options_.dataplane;
-    trace.records = trace_log->finish();
-  }
-
-  RuntimeStats stats;
-  stats.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
+  frame.finish_trace();
+  RuntimeStats stats =
+      frame.stats(std::chrono::duration<double>(t1 - t0).count());
   stats.epoch = runs_;
-  stats.tub = tubs.aggregated_stats();
-  for (const TsuEmulator& e : emulators) {
-    stats.emulators.push_back(e.stats());
-    stats.emulator += e.stats();
-  }
-  stats.kernels.reserve(kernels.size());
-  for (const Kernel& k : kernels) stats.kernels.push_back(k.stats());
-  if (guard) {
-    stats.guard = guard->stats();
-    stats.guard_violations = guard->violations();
-  }
   return stats;
 }
 

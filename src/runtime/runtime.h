@@ -24,8 +24,11 @@
 
 namespace tflux::runtime {
 
-struct RuntimeOptions {
-  std::uint16_t num_kernels = 1;
+/// The per-run settings every native run honors, whether it is a
+/// one-shot Runtime::run() or an instance admitted to a resident
+/// Executor partition. Both option structs hold one, and RunFrame
+/// (runtime/run_frame.h) builds either kind of run from it.
+struct RunOptions {
   core::PolicyKind policy = core::PolicyKind::kLocality;
   /// Lock-free hot path (default): per-kernel SPSC TUB lanes + SPSC
   /// ring mailboxes with spin-then-park waiting. false selects the
@@ -36,22 +39,15 @@ struct RuntimeOptions {
   /// chunked across several publishes (ddmlint's lane-capacity check
   /// warns about such DThreads ahead of time).
   std::uint32_t tub_lane_capacity = 256;
-  /// TUB geometry (paper: segmented to keep try-lock contention low).
-  /// Used only when lockfree == false.
-  std::uint32_t tub_segments = 8;
-  std::uint32_t tub_segment_capacity = 256;
-  /// Thread Indexing (TKT). Disable only for the ablation study.
-  bool thread_indexing = true;
-  /// Pin Kernel k to CPU k and the TSU Emulator(s) to the next
-  /// CPU(s) (the paper's placement: one core per Kernel, one for the
-  /// emulator, one reserved for the OS). CPU ids wrap around the
-  /// host's count, so this is safe on any machine; failures to pin
-  /// are ignored.
+  /// Pin each Kernel and TSU Emulator thread to its own CPU (the
+  /// paper's placement: one core per Kernel, one for the emulator,
+  /// one reserved for the OS). CPU ids wrap around the host's count,
+  /// so this is safe on any machine; failures to pin are ignored.
   bool pin_threads = false;
   /// Number of TSU Emulator threads (the section 4.1 multiple-TSU-
   /// Groups extension, software flavor). Emulator g owns kernels k
-  /// with k % tsu_groups == g; must be <= num_kernels. Ignored when
-  /// `shards` selects the sharded topology below.
+  /// with k % tsu_groups == g; must be <= the run's kernel count.
+  /// Ignored when `shards` selects the sharded topology below.
   std::uint16_t tsu_groups = 1;
   /// Sharded TSU: 0 (default) keeps the legacy interleaved tsu_groups
   /// ownership; >= 1 partitions the kernels into that many *clustered*
@@ -59,34 +55,33 @@ struct RuntimeOptions {
   /// scheduling loop per shard. SM spans, TKT-routed updates, and TUB
   /// lanes all stay shard-local; range updates are split at shard
   /// boundaries at publish time. Combine with policy kHier for
-  /// hierarchical stealing across shards. Must be <= num_kernels.
+  /// hierarchical stealing across shards. Must be <= the run's kernel
+  /// count.
   std::uint16_t shards = 0;
   /// kHier only: depth advantage a remote shard must offer before a
   /// backlogged dispatch is delegated there (TsuEmulator::Options::
   /// steal_threshold).
   std::uint32_t steal_threshold = 4;
-  /// Pipelined block transitions (default): each emulator pre-stages
-  /// the next block's Ready Counts in the shadow SM generation and
-  /// activates it with a flip at the Outlet. false selects the
-  /// synchronous per-boundary reload (the ablation baseline).
-  bool block_pipeline = true;
-  /// Outstanding-dispatch low-water mark triggering the shadow
-  /// preload. 0 = auto (2 x kernels owned by the group).
-  std::uint32_t prefetch_low_water = 0;
-  /// kAdaptive policy only: home-kernel mailbox depth tolerated
-  /// before a ready DThread is routed to the shallowest mailbox.
-  std::uint32_t adaptive_backlog = 2;
-  /// Coalesce runs of consecutive-id consumers into single range
-  /// updates through the whole TUB -> TSU path (the paper's "multiple
-  /// update" message). false = one unit update per arc (the ablation
-  /// baseline, tflux_run --no-coalesce).
-  bool coalesce_updates = true;
   /// Managed data plane (core/dataplane.h, default on): track which
   /// kernel last wrote each footprint range, account bulk forwards
   /// along arcs, and enable the kAffinity dispatch policy. false =
   /// implicit shared memory only (the ablation baseline, tflux_run
   /// --no-dataplane); kAffinity then degrades to kHier.
   bool dataplane = true;
+};
+
+struct RuntimeOptions {
+  std::uint16_t num_kernels = 1;
+  RunOptions run{};
+  /// TUB geometry (paper: segmented to keep try-lock contention low).
+  /// Used only when run.lockfree == false.
+  std::uint32_t tub_segments = 8;
+  std::uint32_t tub_segment_capacity = 256;
+  /// Thread Indexing (TKT). Disable only for the ablation study.
+  bool thread_indexing = true;
+  /// kAdaptive policy only: home-kernel mailbox depth tolerated
+  /// before a ready DThread is routed to the shallowest mailbox.
+  std::uint32_t adaptive_backlog = 2;
   /// Execution tracing for the ddmcheck verifier: when set, every
   /// actor records Dispatch/Complete/Update/... events into lock-free
   /// lanes (runtime/trace_log.h) and run() fills this trace with the
@@ -103,12 +98,12 @@ struct RuntimeOptions {
   /// ddmguard: online protocol checking (core/guard.h). kOff (the
   /// default) builds no Guard at all - every hook site costs one
   /// predictable null branch, keeping --guard=off behavior-neutral.
-  core::GuardOptions guard;
+  core::GuardOptions guard{};
   /// Seed exactly one protocol fault into the run (guard validation
   /// harness). Requires guard mode kFull: the guard must account every
   /// block so it *contains* the fault (suppressed surplus decrements)
   /// instead of letting the Synchronization Memory underflow.
-  FaultInjection inject_fault;
+  FaultInjection inject_fault{};
 };
 
 struct RuntimeStats {

@@ -85,30 +85,6 @@ void SyncMemoryGroup::set_shard_map(const core::ShardMap* map) {
   shard_map_ = map;
 }
 
-void SyncMemoryGroup::load_block(core::BlockId block) {
-  load_block_partition(block, 0, 1);
-}
-
-void SyncMemoryGroup::load_block_partition(core::BlockId block,
-                                           std::uint16_t group,
-                                           std::uint16_t groups) {
-  if (block >= program_.num_blocks()) {
-    throw core::TFluxError("SyncMemoryGroup::load_block: bad block id");
-  }
-  if (groups == 0) {
-    throw core::TFluxError("SyncMemoryGroup: groups must be >= 1");
-  }
-  loaded_block_.store(block, std::memory_order_relaxed);
-  for_each_owned(group, groups, [&](core::KernelId k) {
-    const Span& sp = span(block, k);
-    std::uint32_t* counts = sm_data_[cur_gen_[k]].data() + sm_off_[k];
-    for (std::uint32_t s = 0; s < sp.len; ++s) {
-      counts[s] = program_.thread(tids_[sp.off + s]).ready_count_init;
-    }
-    gen_block_[k][cur_gen_[k]] = block;
-  });
-}
-
 void SyncMemoryGroup::preload_shadow(core::BlockId block,
                                      std::uint16_t group,
                                      std::uint16_t groups) {
@@ -136,7 +112,6 @@ void SyncMemoryGroup::promote_shadow(std::uint16_t group,
   }
   assert(shadow_block(group) != core::kInvalidBlock);
   for_each_owned(group, groups, [&](core::KernelId k) { cur_gen_[k] ^= 1u; });
-  loaded_block_.store(current_block(group), std::memory_order_relaxed);
 }
 
 SyncMemoryGroup::SmSlot SyncMemoryGroup::find_slot(

@@ -27,7 +27,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -55,21 +54,12 @@ class SyncMemoryGroup {
   /// count. Call before any partition operation.
   void set_shard_map(const core::ShardMap* map);
 
-  /// Initialize the *current* generation with `block`'s Ready Counts
-  /// (the Inlet's synchronous load). Any previous block's slots are
-  /// dead after this.
-  void load_block(core::BlockId block);
-
-  /// Multiple-TSU-Groups variant: initialize only the SMs of the
-  /// kernels owned by `group` (k % groups, or the shard map's list).
-  /// Each emulator loads its own partition, so a shared
-  /// SyncMemoryGroup needs no locking (slot ownership is disjoint).
-  void load_block_partition(core::BlockId block, std::uint16_t group,
-                            std::uint16_t groups);
-
-  /// Stage `block`'s Ready Counts for `group`'s partition in the
+  /// Stage `block`'s Ready Counts for `group`'s partition (the SMs of
+  /// the kernels it owns: k % groups, or the shard map's list) in the
   /// shadow (non-current) generation. What decrement()/count() see is
-  /// untouched until promote_shadow().
+  /// untouched until promote_shadow(). Each emulator stages its own
+  /// partition, so a shared SyncMemoryGroup needs no locking (slot
+  /// ownership is disjoint).
   void preload_shadow(core::BlockId block, std::uint16_t group,
                       std::uint16_t groups);
 
@@ -152,9 +142,6 @@ class SyncMemoryGroup {
                               std::uint16_t groups) const;
 
   std::uint16_t num_kernels() const { return num_kernels_; }
-  core::BlockId loaded_block() const {
-    return loaded_block_.load(std::memory_order_relaxed);
-  }
 
  private:
   /// One (block, kernel) slice of the tids_ arena.
@@ -219,7 +206,6 @@ class SyncMemoryGroup {
   /// kernel's entries, so none of this needs synchronization.
   std::vector<std::uint8_t> cur_gen_;
   std::vector<std::array<core::BlockId, 2>> gen_block_;
-  std::atomic<core::BlockId> loaded_block_{core::kInvalidBlock};
 };
 
 }  // namespace tflux::runtime

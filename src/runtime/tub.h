@@ -6,7 +6,7 @@
 //  - Tub (this header): the paper-faithful segmented try-lock buffer
 //    (section 4.2) - Kernels grab "the first available segment" and
 //    entries carry a global publish sequence so drains can restore
-//    publish order. Kept as the RuntimeOptions::lockfree=false
+//    publish order. Kept as the RunOptions::lockfree=false
 //    ablation baseline.
 //  - LaneTub (lane_tub.h): per-kernel SPSC lanes - the lock-free hot
 //    path (no try-lock scan, no global sequence atomic).

@@ -29,8 +29,7 @@ void publish_chunked(TubQueue& tub, const std::vector<TubEntry>& batch,
 
 TubGroup::TubGroup(const core::Program& program, const SyncMemoryGroup& sm,
                    TubGroupOptions options)
-    : program_(program), sm_(sm), shard_map_(options.shard_map),
-      coalesce_(options.coalesce) {
+    : program_(program), sm_(sm), shard_map_(options.shard_map) {
   if (options.num_groups == 0) {
     throw core::TFluxError("TubGroup: num_groups must be >= 1");
   }
@@ -127,7 +126,7 @@ std::size_t TubGroup::publish_completion(const core::DThread& t,
   // Runs are precomputed by ProgramBuilder::build(); hand-assembled
   // Programs (test peers) may carry consumers without runs - fall back
   // to the detecting list path for those.
-  if (!coalesce_ || t.consumer_runs.empty()) {
+  if (t.consumer_runs.empty()) {
     return publish_updates(t.consumers, hint, scratch);
   }
   std::size_t published = 0;
@@ -184,12 +183,10 @@ std::size_t TubGroup::publish_updates(
   // degrade gracefully to unit entries.
   auto next_run = [&](std::size_t i) {
     std::size_t j = i + 1;
-    if (coalesce_) {
-      while (j < consumers.size() && consumers[j] == consumers[j - 1] + 1 &&
-             program_.thread(consumers[j]).block ==
-                 program_.thread(consumers[i]).block) {
-        ++j;
-      }
+    while (j < consumers.size() && consumers[j] == consumers[j - 1] + 1 &&
+           program_.thread(consumers[j]).block ==
+               program_.thread(consumers[i]).block) {
+      ++j;
     }
     return j;
   };

@@ -17,7 +17,7 @@
 //
 // Each group's TUB is either a LaneTub (per-kernel SPSC lanes, the
 // lock-free default) or a segmented try-lock Tub (the paper-faithful
-// RuntimeOptions::lockfree=false ablation baseline); routing is
+// RunOptions::lockfree=false ablation baseline); routing is
 // identical either way.
 #pragma once
 
@@ -45,10 +45,6 @@ struct TubGroupOptions {
   /// Mutex geometry (paper: segmented to keep try-lock contention low).
   std::uint32_t segments = 8;
   std::uint32_t segment_capacity = 256;
-  /// Coalesce runs of consecutive consumer ids into single
-  /// kRangeUpdate records (the paper's "multiple update" message).
-  /// false = the unit-update ablation baseline.
-  bool coalesce = true;
   /// Topology map replacing the k % num_groups kernel-to-group
   /// striping (sharded TSU). Must outlive the TubGroup and declare
   /// exactly num_groups shards. Null = legacy interleaved ownership.
@@ -68,16 +64,6 @@ class TubGroup {
   TubGroup(const core::Program& program, const SyncMemoryGroup& sm,
            TubGroupOptions options);
 
-  /// Legacy convenience (mutex-mode geometry), kept for tests.
-  TubGroup(const core::Program& program, const SyncMemoryGroup& sm,
-           std::uint16_t num_groups, std::uint32_t segments,
-           std::uint32_t segment_capacity)
-      : TubGroup(program, sm,
-                 TubGroupOptions{.num_groups = num_groups,
-                                 .lockfree = false,
-                                 .segments = segments,
-                                 .segment_capacity = segment_capacity}) {}
-
   std::uint16_t num_groups() const {
     return static_cast<std::uint16_t>(tubs_.size());
   }
@@ -93,9 +79,6 @@ class TubGroup {
   std::uint16_t group_of_thread(core::ThreadId tid) const {
     return group_of_kernel(sm_.tkt(tid).kernel);
   }
-
-  /// Range coalescing enabled (the unit-update path is the ablation).
-  bool coalesce() const { return coalesce_; }
 
   /// Install the ddmguard instance probing publishes (null = off).
   /// Publish hooks use the publishing kernel's `hint` as their lane,
@@ -125,20 +108,19 @@ class TubGroup {
   std::size_t publish_range_update(core::ThreadId lo, core::ThreadId hi,
                                    std::uint32_t hint);
 
-  /// Kernel side: publish a completed DThread's updates. With
-  /// coalescing on, `t`'s precomputed consumer runs publish one range
-  /// record per run >= 2 wide and unit records for singletons; with it
-  /// off (or for programs whose runs were not precomputed) this is
-  /// publish_updates over the consumer list. Returns the number of
-  /// unit-equivalent updates published.
+  /// Kernel side: publish a completed DThread's updates. `t`'s
+  /// precomputed consumer runs publish one range record per run >= 2
+  /// wide and unit records for singletons (programs whose runs were
+  /// not precomputed go through publish_updates over the consumer
+  /// list). Returns the number of unit-equivalent updates published.
   std::size_t publish_completion(const core::DThread& t, std::uint32_t hint,
                                  PublishScratch& scratch);
 
   /// Kernel side: route a raw consumer list, batched per owning group
   /// - one publish per group carries every update of the completion
-  /// (chunked only if a batch exceeds the TUB's max_batch). With
-  /// coalescing on, adjacent consecutive-id same-block consumers in
-  /// the batch are detected and collapsed into range records. `scratch`
+  /// (chunked only if a batch exceeds the TUB's max_batch). Adjacent
+  /// consecutive-id same-block consumers in the batch are detected and
+  /// collapsed into range records. `scratch`
   /// is the calling kernel's reusable buffer. Returns the number of
   /// unit-equivalent updates published.
   std::size_t publish_updates(const std::vector<core::ThreadId>& consumers,
@@ -209,7 +191,6 @@ class TubGroup {
   const core::Program& program_;
   const SyncMemoryGroup& sm_;
   const core::ShardMap* shard_map_ = nullptr;  ///< null = k % groups
-  bool coalesce_ = true;
   core::Guard* guard_ = nullptr;  ///< null = online checking off
   std::vector<std::unique_ptr<TubQueue>> tubs_;
   /// Per-group in-flight steal grants (atomics are not movable, so the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -14,6 +15,7 @@
 #include "core/graph_io.h"
 #include "core/error.h"
 #include "core/scheduler.h"
+#include "core/spec.h"
 #include "core/topology.h"
 #include "core/verify.h"
 #include "machine/config.h"
@@ -74,28 +76,6 @@ CliPlatform parse_platform(const std::string& name) {
                    "' (reference, soft, hard, x86hard, softsim, cell)");
 }
 
-core::PolicyKind parse_policy(const std::string& name) {
-  if (name == "fifo") return core::PolicyKind::kFifo;
-  if (name == "locality") return core::PolicyKind::kLocality;
-  if (name == "adaptive") return core::PolicyKind::kAdaptive;
-  if (name == "hier") return core::PolicyKind::kHier;
-  if (name == "affinity") return core::PolicyKind::kAffinity;
-  throw TFluxError("tflux_run: unknown policy '" + name +
-                   "' (fifo, locality, adaptive, hier, affinity)");
-}
-
-std::uint64_t parse_uint(const std::string& flag, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    throw TFluxError("tflux_run: " + flag + " expects a number, got '" +
-                     value + "'");
-  }
-}
-
 /// Sizes use the platform-appropriate Table-1 column.
 apps::Platform table1_platform(CliPlatform platform) {
   switch (platform) {
@@ -144,15 +124,6 @@ std::string usage() {
       "paper-faithful\n"
       "                                       mutex/try-lock runtime "
       "(ablation)\n"
-      "  --no-block-pipeline                  soft platform: synchronous "
-      "SM reload at\n"
-      "                                       block boundaries "
-      "(ablation)\n"
-      "  --no-coalesce                        soft platform: publish "
-      "per-consumer unit\n"
-      "                                       updates instead of "
-      "coalesced range\n"
-      "                                       records (ablation)\n"
       "  --no-dataplane                       disable the managed data "
       "plane: no forward\n"
       "                                       or affinity accounting, "
@@ -206,6 +177,12 @@ CliOptions parse_args(const std::vector<std::string>& args) {
     auto value_of = [&arg](const char* prefix) {
       return arg.substr(std::string(prefix).size());
     };
+    // `--flag=N` into `field`, bounded by the field's type.
+    auto uint_flag = [&arg](const char* flag, bool min_one, auto& field) {
+      core::parse_flag_uint("tflux_run", flag,
+                            arg.substr(std::strlen(flag) + 1), min_one,
+                            field);
+    };
     if (arg == "--help" || arg == "-h") {
       options.help = true;
     } else if (arg.rfind("--app=", 0) == 0) {
@@ -215,37 +192,23 @@ CliOptions parse_args(const std::vector<std::string>& args) {
     } else if (arg.rfind("--platform=", 0) == 0) {
       options.platform = parse_platform(value_of("--platform="));
     } else if (arg.rfind("--kernels=", 0) == 0) {
-      options.kernels = static_cast<std::uint16_t>(
-          parse_uint("--kernels", value_of("--kernels=")));
-      if (options.kernels == 0) {
-        throw TFluxError("tflux_run: --kernels must be >= 1");
-      }
+      uint_flag("--kernels", /*min_one=*/true, options.kernels);
     } else if (arg.rfind("--unroll=", 0) == 0) {
-      options.unroll = static_cast<std::uint32_t>(
-          parse_uint("--unroll", value_of("--unroll=")));
-      if (options.unroll == 0) {
-        throw TFluxError("tflux_run: --unroll must be >= 1");
-      }
+      uint_flag("--unroll", /*min_one=*/true, options.unroll);
     } else if (arg.rfind("--tsu-capacity=", 0) == 0) {
-      options.tsu_capacity = static_cast<std::uint32_t>(
-          parse_uint("--tsu-capacity", value_of("--tsu-capacity=")));
+      uint_flag("--tsu-capacity", /*min_one=*/false, options.tsu_capacity);
     } else if (arg.rfind("--tsu-groups=", 0) == 0) {
-      options.tsu_groups = static_cast<std::uint16_t>(
-          parse_uint("--tsu-groups", value_of("--tsu-groups=")));
-      if (options.tsu_groups == 0) {
-        throw TFluxError("tflux_run: --tsu-groups must be >= 1");
-      }
+      uint_flag("--tsu-groups", /*min_one=*/true, options.tsu_groups);
     } else if (arg.rfind("--shards=", 0) == 0) {
-      options.shards = static_cast<std::uint16_t>(
-          parse_uint("--shards", value_of("--shards=")));
+      uint_flag("--shards", /*min_one=*/false, options.shards);
     } else if (arg.rfind("--policy=", 0) == 0) {
-      options.policy = parse_policy(value_of("--policy="));
+      if (!core::parse_policy(value_of("--policy="), options.policy)) {
+        throw TFluxError("tflux_run: unknown policy '" +
+                         value_of("--policy=") +
+                         "' (fifo, locality, adaptive, hier, affinity)");
+      }
     } else if (arg == "--mutex-runtime") {
       options.lockfree = false;
-    } else if (arg == "--no-block-pipeline") {
-      options.block_pipeline = false;
-    } else if (arg == "--no-coalesce") {
-      options.coalesce = false;
     } else if (arg == "--no-dataplane") {
       options.dataplane = false;
     } else if (arg == "--no-validate") {
@@ -257,11 +220,7 @@ CliOptions parse_args(const std::vector<std::string>& args) {
     } else if (arg == "--check") {
       options.check = true;
     } else if (arg.rfind("--repeat=", 0) == 0) {
-      options.repeat = static_cast<std::uint32_t>(
-          parse_uint("--repeat", value_of("--repeat=")));
-      if (options.repeat == 0) {
-        throw TFluxError("tflux_run: --repeat must be >= 1");
-      }
+      uint_flag("--repeat", /*min_one=*/true, options.repeat);
     } else if (arg.rfind("--guard=", 0) == 0) {
       if (!core::parse_guard_spec(value_of("--guard="), options.guard)) {
         throw TFluxError("tflux_run: --guard expects off, sampled, "
@@ -406,9 +365,9 @@ int run_cli(const CliOptions& options, std::ostream& out) {
     verify_options.num_kernels = options.kernels;
     if (options.platform == CliPlatform::kSoft && options.lockfree) {
       verify_options.tub_lane_capacity =
-          runtime::RuntimeOptions{}.tub_lane_capacity;
+          runtime::RuntimeOptions{}.run.tub_lane_capacity;
     }
-    if (options.platform == CliPlatform::kSoft && options.block_pipeline) {
+    if (options.platform == CliPlatform::kSoft) {
       // Blocks smaller than this cannot cover a pipelined transition.
       verify_options.min_block_threads = 2u * options.kernels;
     }
@@ -468,14 +427,12 @@ int run_cli(const CliOptions& options, std::ostream& out) {
     case CliPlatform::kSoft: {
       runtime::RuntimeOptions rt_options;
       rt_options.num_kernels = options.kernels;
-      rt_options.policy = options.policy;
-      rt_options.lockfree = options.lockfree;
-      rt_options.tsu_groups =
+      rt_options.run.policy = options.policy;
+      rt_options.run.lockfree = options.lockfree;
+      rt_options.run.tsu_groups =
           std::min(options.tsu_groups, options.kernels);
-      rt_options.shards = options.shards;
-      rt_options.block_pipeline = options.block_pipeline;
-      rt_options.coalesce_updates = options.coalesce;
-      rt_options.dataplane = options.dataplane;
+      rt_options.run.shards = options.shards;
+      rt_options.run.dataplane = options.dataplane;
       rt_options.guard = options.guard;
       rt_options.inject_fault = options.inject_fault;
       core::ExecTrace exec_trace;
@@ -530,16 +487,15 @@ int run_cli(const CliOptions& options, std::ostream& out) {
           << " hot path: wall time " << st.wall_seconds * 1e3 << " ms, "
           << st.emulator.updates_processed << " Ready Count updates, "
           << st.tub.entries_published << " TUB entries\n";
-      out << "  " << (options.coalesce ? "coalesced" : "unit")
-          << " update path: " << st.emulator.range_updates_processed
+      out << "  coalesced update path: "
+          << st.emulator.range_updates_processed
           << " range records covering " << st.emulator.range_members
           << " consumers\n";
       std::uint64_t backlog_peak = 0;
       for (const runtime::KernelStats& k : st.kernels) {
         backlog_peak = std::max(backlog_peak, k.mailbox_backlog_peak);
       }
-      out << "  " << (options.block_pipeline ? "pipelined" : "synchronous")
-          << " block transitions: " << st.emulator.blocks_loaded
+      out << "  pipelined block transitions: " << st.emulator.blocks_loaded
           << " partition loads, " << st.emulator.prefetch_hits
           << " prefetch hits, " << st.emulator.prefetch_misses
           << " misses, " << st.emulator.deferred_replays
@@ -575,7 +531,7 @@ int run_cli(const CliOptions& options, std::ostream& out) {
           imbalance_pct = std::max(imbalance_pct, std::abs(dev));
         }
       }
-      if (rt_options.shards >= 1) {
+      if (rt_options.run.shards >= 1) {
         out << "  shards (" << st.emulators.size()
             << "): " << st.emulator.steal_local << " sibling steals, "
             << st.emulator.steal_remote << " remote grants out, "
@@ -603,16 +559,12 @@ int run_cli(const CliOptions& options, std::ostream& out) {
              << "  \"app\": \"" << run.name << "\",\n"
              << "  \"platform\": \"soft\",\n"
              << "  \"kernels\": " << options.kernels << ",\n"
-             << "  \"tsu_groups\": " << rt_options.tsu_groups << ",\n"
-             << "  \"shards\": " << rt_options.shards << ",\n"
+             << "  \"tsu_groups\": " << rt_options.run.tsu_groups << ",\n"
+             << "  \"shards\": " << rt_options.run.shards << ",\n"
              << "  \"policy\": \"" << core::to_string(options.policy)
              << "\",\n"
              << "  \"lockfree\": " << (options.lockfree ? "true" : "false")
              << ",\n"
-             << "  \"block_pipeline\": "
-             << (options.block_pipeline ? "true" : "false") << ",\n"
-             << "  \"coalesce\": "
-             << (options.coalesce ? "true" : "false") << ",\n"
              << "  \"dataplane\": {\n"
              << "    \"enabled\": "
              << (options.dataplane ? "true" : "false") << ",\n"

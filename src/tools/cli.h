@@ -45,12 +45,6 @@ struct CliOptions {
   /// Native runtime (--platform=soft): lock-free hot path (default) vs
   /// the paper-faithful mutex/try-lock structures (--mutex-runtime).
   bool lockfree = true;
-  /// Native runtime: pipelined block transitions (default) vs the
-  /// synchronous per-boundary SM reload (--no-block-pipeline).
-  bool block_pipeline = true;
-  /// Native runtime: coalesced range updates (default) vs per-consumer
-  /// unit updates (--no-coalesce, ablation).
-  bool coalesce = true;
   /// Managed data plane (default on; soft + simulated platforms):
   /// forward/affinity accounting and the --policy=affinity routing.
   /// --no-dataplane selects the implicit-shared-memory ablation;

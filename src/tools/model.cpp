@@ -186,9 +186,13 @@ std::string model_usage() {
       "  --tsu-capacity=N                     TSU capacity (default: "
       "per-app small\n"
       "                                       config)\n"
-      "  --no-pipeline                        synchronous Inlet loads "
+      "  --no-pipeline                        model the simulators' "
+      "TsuState protocol:\n"
+      "                                       synchronous Inlet loads "
       "instead of\n"
-      "                                       promote-at-OutletDone\n"
+      "                                       promote-at-OutletDone (the "
+      "native runtime\n"
+      "                                       always pipelines)\n"
       "  --mutate=drop-retire-guard|skip-shadow-promote|unordered-grant|"
       "\n"
       "           double-publish|replay-stale-update\n"

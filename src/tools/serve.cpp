@@ -4,6 +4,7 @@
 #include <cctype>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <future>
 #include <sstream>
@@ -13,6 +14,7 @@
 #include "core/ddmtrace.h"
 #include "core/error.h"
 #include "core/executor.h"
+#include "core/spec.h"
 #include "runtime/executor.h"
 #include "runtime/runtime.h"
 #include "sim/rng.h"
@@ -39,29 +41,6 @@ apps::SizeClass parse_serve_size(const std::string& name) {
   if (name == "large") return apps::SizeClass::kLarge;
   throw TFluxError("tflux_serve: unknown size '" + name +
                    "' (small, medium, large)");
-}
-
-core::PolicyKind parse_serve_policy(const std::string& name) {
-  if (name == "fifo") return core::PolicyKind::kFifo;
-  if (name == "locality") return core::PolicyKind::kLocality;
-  if (name == "adaptive") return core::PolicyKind::kAdaptive;
-  if (name == "hier") return core::PolicyKind::kHier;
-  if (name == "affinity") return core::PolicyKind::kAffinity;
-  throw TFluxError("tflux_serve: unknown policy '" + name +
-                   "' (fifo, locality, adaptive, hier, affinity)");
-}
-
-std::uint64_t parse_serve_uint(const std::string& flag,
-                               const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    throw TFluxError("tflux_serve: " + flag + " expects a number, got '" +
-                     value + "'");
-  }
 }
 
 double parse_serve_double(const std::string& flag, const std::string& value) {
@@ -154,44 +133,28 @@ ServeOptions parse_serve_args(const std::vector<std::string>& args) {
     auto value_of = [&arg](const char* prefix) {
       return arg.substr(std::string(prefix).size());
     };
+    // `--flag=N` into `field`, bounded by the field's type.
+    auto uint_flag = [&arg](const char* flag, bool min_one, auto& field) {
+      core::parse_flag_uint("tflux_serve", flag,
+                            arg.substr(std::strlen(flag) + 1), min_one,
+                            field);
+    };
     if (arg == "--help" || arg == "-h") {
       options.help = true;
     } else if (arg.rfind("--pool=", 0) == 0) {
-      options.pool_kernels = static_cast<std::uint16_t>(
-          parse_serve_uint("--pool", value_of("--pool=")));
-      if (options.pool_kernels == 0) {
-        throw TFluxError("tflux_serve: --pool must be >= 1");
-      }
+      uint_flag("--pool", /*min_one=*/true, options.pool_kernels);
     } else if (arg.rfind("--width=", 0) == 0) {
-      options.partition_width = static_cast<std::uint16_t>(
-          parse_serve_uint("--width", value_of("--width=")));
-      if (options.partition_width == 0) {
-        throw TFluxError("tflux_serve: --width must be >= 1");
-      }
+      uint_flag("--width", /*min_one=*/true, options.partition_width);
     } else if (arg.rfind("--tsu-groups=", 0) == 0) {
-      options.tsu_groups = static_cast<std::uint16_t>(
-          parse_serve_uint("--tsu-groups", value_of("--tsu-groups=")));
+      uint_flag("--tsu-groups", /*min_one=*/false, options.tsu_groups);
     } else if (arg.rfind("--shards=", 0) == 0) {
-      options.shards = static_cast<std::uint16_t>(
-          parse_serve_uint("--shards", value_of("--shards=")));
+      uint_flag("--shards", /*min_one=*/false, options.shards);
     } else if (arg.rfind("--queue=", 0) == 0) {
-      options.queue_capacity = static_cast<std::size_t>(
-          parse_serve_uint("--queue", value_of("--queue=")));
-      if (options.queue_capacity == 0) {
-        throw TFluxError("tflux_serve: --queue must be >= 1");
-      }
+      uint_flag("--queue", /*min_one=*/true, options.queue_capacity);
     } else if (arg.rfind("--stage-depth=", 0) == 0) {
-      options.stage_depth = static_cast<std::uint16_t>(
-          parse_serve_uint("--stage-depth", value_of("--stage-depth=")));
-      if (options.stage_depth == 0) {
-        throw TFluxError("tflux_serve: --stage-depth must be >= 1");
-      }
+      uint_flag("--stage-depth", /*min_one=*/true, options.stage_depth);
     } else if (arg.rfind("--requests=", 0) == 0) {
-      options.requests = static_cast<std::uint32_t>(
-          parse_serve_uint("--requests", value_of("--requests=")));
-      if (options.requests == 0) {
-        throw TFluxError("tflux_serve: --requests must be >= 1");
-      }
+      uint_flag("--requests", /*min_one=*/true, options.requests);
     } else if (arg.rfind("--rate=", 0) == 0) {
       options.rate = parse_serve_double("--rate", value_of("--rate="));
     } else if (arg.rfind("--apps=", 0) == 0) {
@@ -207,16 +170,15 @@ ServeOptions parse_serve_args(const std::vector<std::string>& args) {
     } else if (arg.rfind("--size=", 0) == 0) {
       options.size = parse_serve_size(value_of("--size="));
     } else if (arg.rfind("--unroll=", 0) == 0) {
-      options.unroll = static_cast<std::uint32_t>(
-          parse_serve_uint("--unroll", value_of("--unroll=")));
-      if (options.unroll == 0) {
-        throw TFluxError("tflux_serve: --unroll must be >= 1");
-      }
+      uint_flag("--unroll", /*min_one=*/true, options.unroll);
     } else if (arg.rfind("--tsu-capacity=", 0) == 0) {
-      options.tsu_capacity = static_cast<std::uint32_t>(
-          parse_serve_uint("--tsu-capacity", value_of("--tsu-capacity=")));
+      uint_flag("--tsu-capacity", /*min_one=*/false, options.tsu_capacity);
     } else if (arg.rfind("--policy=", 0) == 0) {
-      options.policy = parse_serve_policy(value_of("--policy="));
+      if (!core::parse_policy(value_of("--policy="), options.policy)) {
+        throw TFluxError("tflux_serve: unknown policy '" +
+                         value_of("--policy=") +
+                         "' (fifo, locality, adaptive, hier, affinity)");
+      }
     } else if (arg.rfind("--guard=", 0) == 0) {
       if (!core::parse_guard_spec(value_of("--guard="), options.guard)) {
         throw TFluxError("tflux_serve: --guard expects off, sampled, "
@@ -234,7 +196,7 @@ ServeOptions parse_serve_args(const std::vector<std::string>& args) {
     } else if (arg == "--no-validate") {
       options.validate = false;
     } else if (arg.rfind("--seed=", 0) == 0) {
-      options.seed = parse_serve_uint("--seed", value_of("--seed="));
+      uint_flag("--seed", /*min_one=*/false, options.seed);
     } else if (arg.rfind("--json=", 0) == 0) {
       options.json_file = value_of("--json=");
     } else {
@@ -337,10 +299,10 @@ int run_serve(const ServeOptions& options, std::ostream& out,
       if (per_program_runs[which] > 0 && app.reset) app.reset();
       runtime::RuntimeOptions rt;
       rt.num_kernels = options.pool_kernels;
-      rt.tsu_groups = options.tsu_groups;
-      rt.shards = options.shards;
-      rt.policy = options.policy;
-      rt.dataplane = options.dataplane;
+      rt.run.tsu_groups = options.tsu_groups;
+      rt.run.shards = options.shards;
+      rt.run.policy = options.policy;
+      rt.run.dataplane = options.dataplane;
       rt.guard = options.guard;
       if (i == checked_index) rt.trace = &midstream_trace;
       runtime::Runtime runtime(app.program, rt);
@@ -373,12 +335,12 @@ int run_serve(const ServeOptions& options, std::ostream& out,
     runtime::ExecutorOptions exec;
     exec.pool_kernels = options.pool_kernels;
     exec.partition_width = options.partition_width;
-    exec.tsu_groups = options.tsu_groups;
-    exec.shards = options.shards;
+    exec.run.tsu_groups = options.tsu_groups;
+    exec.run.shards = options.shards;
     exec.queue_capacity = options.queue_capacity;
     exec.stage_depth = options.stage_depth;
-    exec.policy = options.policy;
-    exec.dataplane = options.dataplane;
+    exec.run.policy = options.policy;
+    exec.run.dataplane = options.dataplane;
     runtime::Executor executor(registry, exec);
 
     std::vector<std::future<runtime::RunResult>> futures;

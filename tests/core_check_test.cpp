@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "core/builder.h"
 #include "core/ddmtrace.h"
@@ -140,6 +141,21 @@ TEST(DdmTraceTest, LoadRejectsMalformedInput) {
   // A range-update record requires its third operand.
   EXPECT_THROW(load_trace("ddmtrace 2\ne 0 range-update 0 0 1\n"),
                TFluxError);
+}
+
+TEST(DdmTraceTest, UnitUpdateTracesAreRejected) {
+  // The unit-update mode was removed; its traces cannot be replayed
+  // faithfully, so load_trace says so instead of misreading them.
+  try {
+    load_trace("ddmtrace 2\nconfig kernels 1 coalesce 0\n");
+    FAIL() << "coalesce 0 loaded";
+  } catch (const TFluxError& e) {
+    EXPECT_NE(std::string(e.what()).find("unit-update mode was removed"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(load_trace("ddmtrace 2\nconfig kernels 2 coalesce 1\n").kernels,
+            2);
 }
 
 TEST(DdmTraceTest, VersionOneTracesStillLoad) {

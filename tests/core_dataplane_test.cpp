@@ -91,14 +91,11 @@ TEST(DataPlaneTest, SameBlockRunsCoalesceConsecutiveConsumers) {
   const Program program = one_block_fanout();
   const DataPlane plane(program);
 
-  const auto& runs = plane.forward_runs(0, /*coalesce=*/true);
+  const auto& runs = plane.forward_runs(0);
   ASSERT_EQ(runs.size(), 1u);
   EXPECT_EQ(runs[0], (ForwardRun{1, 3, 300}));
 
-  const auto& units = plane.forward_runs(0, /*coalesce=*/false);
-  ASSERT_EQ(units.size(), 3u);
   for (ThreadId c = 1; c <= 3; ++c) {
-    EXPECT_EQ(units[c - 1], (ForwardRun{c, c, 100}));
     const auto& contribs = plane.contributions(c);
     ASSERT_EQ(contribs.size(), 1u);
     EXPECT_EQ(contribs[0], (Contribution{0, 100}));
@@ -108,8 +105,8 @@ TEST(DataPlaneTest, SameBlockRunsCoalesceConsecutiveConsumers) {
 TEST(DataPlaneTest, ZeroPayloadArcsAreDroppedEverywhere) {
   // The producer writes one real range and one zero-byte range; the
   // middle consumer reads only the zero-byte range, so its arc carries
-  // nothing: no contribution, no unit forward, and the coalesced run
-  // counts only the real payload.
+  // nothing: no contribution, and the coalesced run counts only the
+  // real payload.
   ProgramBuilder b("zero");
   const BlockId blk = b.add_block();
   Footprint wp;
@@ -128,10 +125,7 @@ TEST(DataPlaneTest, ZeroPayloadArcsAreDroppedEverywhere) {
   const DataPlane plane(program);
 
   EXPECT_TRUE(plane.contributions(c2).empty());
-  const auto& units = plane.forward_runs(p, /*coalesce=*/false);
-  ASSERT_EQ(units.size(), 1u);
-  EXPECT_EQ(units[0], (ForwardRun{c1, c1, 50}));
-  const auto& runs = plane.forward_runs(p, /*coalesce=*/true);
+  const auto& runs = plane.forward_runs(p);
   ASSERT_EQ(runs.size(), 1u);
   EXPECT_EQ(runs[0].bytes, 50u);
 }
@@ -160,7 +154,7 @@ TEST(DataPlaneTest, CrossBlockRunsSplitAtConsumerBlockBoundaries) {
   const Program program = b.build({.num_kernels = 2});
   const DataPlane plane(program);
 
-  const auto& runs = plane.forward_runs(p, /*coalesce=*/true);
+  const auto& runs = plane.forward_runs(p);
   ASSERT_EQ(runs.size(), 2u);
   EXPECT_EQ(runs[0], (ForwardRun{cs[0], cs[1], 200}));
   EXPECT_EQ(runs[1], (ForwardRun{cs[2], cs[2], 100}));

@@ -36,11 +36,20 @@ std::uint64_t total_bytes_forwarded(const runtime::RuntimeStats& st) {
 // results, with and without sharding.
 // ---------------------------------------------------------------------------
 
+// The parameter prints as its raw bytes (and so names the test case);
+// the padding is spelled out and zeroed so those names are stable.
 struct SweepConfig {
   apps::AppKind app;
+  std::uint8_t pad0 = 0;
   std::uint16_t shards;
   bool dataplane;
+  std::uint8_t pad1 = 0;
 };
+static_assert(sizeof(SweepConfig) == 6);
+
+SweepConfig sweep(apps::AppKind app, std::uint16_t shards, bool dataplane) {
+  return {.app = app, .shards = shards, .dataplane = dataplane};
+}
 
 class DataPlaneSweepTest : public ::testing::TestWithParam<SweepConfig> {};
 
@@ -55,9 +64,9 @@ TEST_P(DataPlaneSweepTest, AffinityRunsValidate) {
 
   runtime::RuntimeOptions options;
   options.num_kernels = params.num_kernels;
-  options.policy = core::PolicyKind::kAffinity;
-  options.shards = cfg.shards;
-  options.dataplane = cfg.dataplane;
+  options.run.policy = core::PolicyKind::kAffinity;
+  options.run.shards = cfg.shards;
+  options.run.dataplane = cfg.dataplane;
   runtime::Runtime rt(run.program, options);
   const runtime::RuntimeStats stats = rt.run();
 
@@ -79,15 +88,15 @@ TEST_P(DataPlaneSweepTest, AffinityRunsValidate) {
 
 INSTANTIATE_TEST_SUITE_P(
     AppsByShardsByPlane, DataPlaneSweepTest,
-    ::testing::Values(SweepConfig{apps::AppKind::kSusanPipe, 0, true},
-                      SweepConfig{apps::AppKind::kSusanPipe, 0, false},
-                      SweepConfig{apps::AppKind::kSusanPipe, 2, true},
-                      SweepConfig{apps::AppKind::kSusanPipe, 2, false},
-                      SweepConfig{apps::AppKind::kMmult, 0, true},
-                      SweepConfig{apps::AppKind::kMmult, 2, true},
-                      SweepConfig{apps::AppKind::kQsort, 0, true},
-                      SweepConfig{apps::AppKind::kQsort, 2, false},
-                      SweepConfig{apps::AppKind::kFft, 2, true}));
+    ::testing::Values(sweep(apps::AppKind::kSusanPipe, 0, true),
+                      sweep(apps::AppKind::kSusanPipe, 0, false),
+                      sweep(apps::AppKind::kSusanPipe, 2, true),
+                      sweep(apps::AppKind::kSusanPipe, 2, false),
+                      sweep(apps::AppKind::kMmult, 0, true),
+                      sweep(apps::AppKind::kMmult, 2, true),
+                      sweep(apps::AppKind::kQsort, 0, true),
+                      sweep(apps::AppKind::kQsort, 2, false),
+                      sweep(apps::AppKind::kFft, 2, true)));
 
 // ---------------------------------------------------------------------------
 // The pipeline workload actually exercises the plane: payload moves,
@@ -103,7 +112,7 @@ TEST(DataPlanePipelineTest, PipelineForwardsBytesAndScoresHits) {
 
   runtime::RuntimeOptions options;
   options.num_kernels = params.num_kernels;
-  options.policy = core::PolicyKind::kAffinity;
+  options.run.policy = core::PolicyKind::kAffinity;
   runtime::Runtime rt(run.program, options);
   const runtime::RuntimeStats stats = rt.run();
 
@@ -115,14 +124,12 @@ TEST(DataPlanePipelineTest, PipelineForwardsBytesAndScoresHits) {
 
 // ---------------------------------------------------------------------------
 // Reconciliation: the live counters must match an offline ddmcheck
-// replay of the trace EXACTLY, for both coalesced and unit forwarding
-// and under sharded topologies.
+// replay of the trace EXACTLY, under flat and sharded topologies.
 // ---------------------------------------------------------------------------
 
 struct ReplayConfig {
   core::PolicyKind policy;
   std::uint16_t shards;
-  bool coalesce;
 };
 
 class DataPlaneReplayTest : public ::testing::TestWithParam<ReplayConfig> {};
@@ -138,9 +145,8 @@ TEST_P(DataPlaneReplayTest, TraceReplayReconcilesExactly) {
   core::ExecTrace trace;
   runtime::RuntimeOptions options;
   options.num_kernels = params.num_kernels;
-  options.policy = cfg.policy;
-  options.shards = cfg.shards;
-  options.coalesce_updates = cfg.coalesce;
+  options.run.policy = cfg.policy;
+  options.run.shards = cfg.shards;
   options.trace = &trace;
   runtime::Runtime rt(run.program, options);
   const runtime::RuntimeStats stats = rt.run();
@@ -159,13 +165,15 @@ TEST_P(DataPlaneReplayTest, TraceReplayReconcilesExactly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    PoliciesByShardsByCoalesce, DataPlaneReplayTest,
-    ::testing::Values(
-        ReplayConfig{core::PolicyKind::kAffinity, 0, true},
-        ReplayConfig{core::PolicyKind::kAffinity, 0, false},
-        ReplayConfig{core::PolicyKind::kAffinity, 2, true},
-        ReplayConfig{core::PolicyKind::kLocality, 0, true},
-        ReplayConfig{core::PolicyKind::kHier, 2, true}));
+    PoliciesByShards, DataPlaneReplayTest,
+    ::testing::Values(ReplayConfig{core::PolicyKind::kAffinity, 0},
+                      ReplayConfig{core::PolicyKind::kAffinity, 2},
+                      ReplayConfig{core::PolicyKind::kLocality, 0},
+                      ReplayConfig{core::PolicyKind::kHier, 2}),
+    [](const ::testing::TestParamInfo<ReplayConfig>& info) {
+      return std::string(core::to_string(info.param.policy)) + "_s" +
+             std::to_string(info.param.shards);
+    });
 
 // ---------------------------------------------------------------------------
 // Forced-cold fallback: SUSAN's phases synchronize through block
@@ -184,7 +192,7 @@ TEST(DataPlaneColdTest, ArcFreeProgramsFallBackToColdPlacement) {
 
   runtime::RuntimeOptions options;
   options.num_kernels = params.num_kernels;
-  options.policy = core::PolicyKind::kAffinity;
+  options.run.policy = core::PolicyKind::kAffinity;
   runtime::Runtime rt(run.program, options);
   const runtime::RuntimeStats stats = rt.run();
 
@@ -220,23 +228,20 @@ TEST(DataPlaneZeroByteTest, EmptyRangesNeverForwardBytes) {
   b.add_arc(p, c2);
   core::Program program = b.build({.num_kernels = 2});
 
-  for (const bool coalesce : {true, false}) {
-    core::ExecTrace trace;
-    runtime::RuntimeOptions options;
-    options.num_kernels = 2;
-    options.policy = core::PolicyKind::kAffinity;
-    options.coalesce_updates = coalesce;
-    options.trace = &trace;
-    runtime::Runtime rt(program, options);
-    const runtime::RuntimeStats stats = rt.run();
+  core::ExecTrace trace;
+  runtime::RuntimeOptions options;
+  options.num_kernels = 2;
+  options.run.policy = core::PolicyKind::kAffinity;
+  options.trace = &trace;
+  runtime::Runtime rt(program, options);
+  const runtime::RuntimeStats stats = rt.run();
 
-    // Only the 64 real bytes move; the empty range adds nothing.
-    EXPECT_EQ(total_bytes_forwarded(stats), 64u) << "coalesce=" << coalesce;
-    const core::CheckReport report = core::check_trace(program, trace);
-    EXPECT_TRUE(report.findings.empty());
-    EXPECT_EQ(report.dataplane.bytes_forwarded, 64u);
-    EXPECT_EQ(report.dataplane.forwards, total_forwards(stats));
-  }
+  // Only the 64 real bytes move; the empty range adds nothing.
+  EXPECT_EQ(total_bytes_forwarded(stats), 64u);
+  const core::CheckReport report = core::check_trace(program, trace);
+  EXPECT_TRUE(report.findings.empty());
+  EXPECT_EQ(report.dataplane.bytes_forwarded, 64u);
+  EXPECT_EQ(report.dataplane.forwards, total_forwards(stats));
 }
 
 }  // namespace

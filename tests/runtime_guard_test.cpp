@@ -270,7 +270,7 @@ TEST_P(GuardCleanRunTest, RealAppRunsReportNoViolations) {
                                      apps::Platform::kNative, params);
   runtime::RuntimeOptions options;
   options.num_kernels = params.num_kernels;
-  options.tsu_groups = cfg.groups;
+  options.run.tsu_groups = cfg.groups;
   options.guard.mode = cfg.mode;
   options.guard.sample_period = cfg.period;
   runtime::Runtime rt(run.program, options);

@@ -35,7 +35,7 @@ ModeResult run_mode(AppKind kind, bool lockfree) {
       apps::build_app(kind, SizeClass::kSmall, Platform::kSimulated, params);
   RuntimeOptions options;
   options.num_kernels = 4;
-  options.lockfree = lockfree;
+  options.run.lockfree = lockfree;
   const RuntimeStats st = Runtime(run.program, options).run();
   ModeResult r;
   r.valid = run.validate();
@@ -76,8 +76,8 @@ TEST(LockfreeRuntimeTest, LaneCapacityOptionRespected) {
                                Platform::kSimulated, params);
   RuntimeOptions options;
   options.num_kernels = 2;
-  options.lockfree = true;
-  options.tub_lane_capacity = 2;
+  options.run.lockfree = true;
+  options.run.tub_lane_capacity = 2;
   Runtime rt(run.program, options);
   rt.run();
   EXPECT_TRUE(run.validate());

@@ -163,7 +163,7 @@ TEST(RuntimeTest, MultipleEmulatorGroupsPreserveContract) {
     auto rp = tflux::testing::make_random_program(spec);
     RuntimeOptions options;
     options.num_kernels = 3;
-    options.tsu_groups = groups;
+    options.run.tsu_groups = groups;
     const RuntimeStats st = Runtime(rp.program, options).run();
     EXPECT_EQ(rp.state->order_violations.load(), 0u) << groups;
     for (std::size_t t = 0; t < rp.program.num_app_threads(); ++t) {
@@ -184,9 +184,9 @@ TEST(RuntimeTest, MoreGroupsThanKernelsRejected) {
   Program p = b.build();
   RuntimeOptions options;
   options.num_kernels = 2;
-  options.tsu_groups = 3;
+  options.run.tsu_groups = 3;
   EXPECT_THROW(Runtime(p, options), core::TFluxError);
-  options.tsu_groups = 0;
+  options.run.tsu_groups = 0;
   EXPECT_THROW(Runtime(p, options), core::TFluxError);
 }
 
@@ -199,7 +199,7 @@ TEST(RuntimeTest, PinnedThreadsStillCorrect) {
   auto rp = tflux::testing::make_random_program(spec);
   RuntimeOptions options;
   options.num_kernels = 3;
-  options.pin_threads = true;  // best-effort affinity; must not break
+  options.run.pin_threads = true;  // best-effort affinity; must not break
   Runtime(rp.program, options).run();
   EXPECT_EQ(rp.state->order_violations.load(), 0u);
   for (std::size_t t = 0; t < rp.program.num_app_threads(); ++t) {
@@ -287,11 +287,11 @@ TEST_P(RuntimePropertyTest, DdmContractHolds) {
 
   RuntimeOptions options;
   options.num_kernels = kernels;
-  options.policy = policy;
-  options.lockfree = tub_mode == 0;
+  options.run.policy = policy;
+  options.run.lockfree = tub_mode == 0;
   if (tub_mode != 0) options.tub_segments = tub_mode;
   options.thread_indexing = tkt;
-  options.tsu_groups = groups;
+  options.run.tsu_groups = groups;
   const RuntimeStats st = Runtime(rp.program, options).run();
 
   EXPECT_EQ(rp.state->order_violations.load(), 0u);

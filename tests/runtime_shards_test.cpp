@@ -141,8 +141,8 @@ TEST(ShardedRuntimeTest, HierMatchesFlatAcrossAppsKernelsShards) {
             kind, apps::SizeClass::kSmall, apps::Platform::kNative, params);
         runtime::RuntimeOptions hier_options;
         hier_options.num_kernels = kernels;
-        hier_options.shards = shards;
-        hier_options.policy = core::PolicyKind::kHier;
+        hier_options.run.shards = shards;
+        hier_options.run.policy = core::PolicyKind::kHier;
         run_app(sharded, hier_options);
         EXPECT_TRUE(sharded.validate())
             << apps::to_string(kind) << " hier k=" << kernels
@@ -166,10 +166,10 @@ TEST(ShardedRuntimeTest, ForcedOverflowDelegatesToRemoteShard) {
                       apps::Platform::kNative, params);
   runtime::RuntimeOptions options;
   options.num_kernels = 4;
-  options.shards = 2;
-  options.policy = core::PolicyKind::kHier;
+  options.run.shards = 2;
+  options.run.policy = core::PolicyKind::kHier;
   options.adaptive_backlog = 0;  // any backlog counts as overflow
-  options.steal_threshold = 0;   // any less-loaded remote is a victim
+  options.run.steal_threshold = 0;   // any less-loaded remote is a victim
   const runtime::RuntimeStats st = run_app(app, options);
   EXPECT_TRUE(app.validate());
 
@@ -201,8 +201,8 @@ TEST(ShardedRuntimeTest, StealStatsReconcileWithTraceReplay) {
                         apps::Platform::kNative, params);
     runtime::RuntimeOptions options;
     options.num_kernels = 8;
-    options.shards = shards;
-    options.policy = core::PolicyKind::kHier;
+    options.run.shards = shards;
+    options.run.policy = core::PolicyKind::kHier;
     core::ExecTrace trace;
     options.trace = &trace;
     const runtime::RuntimeStats st = run_app(app, options);
@@ -240,9 +240,9 @@ TEST(ShardedRuntimeTest, GuardFullCleanUnderHierStealing) {
         kind, apps::SizeClass::kSmall, apps::Platform::kNative, params);
     runtime::RuntimeOptions options;
     options.num_kernels = 4;
-    options.shards = 2;
-    options.policy = core::PolicyKind::kHier;
-    options.steal_threshold = 0;  // maximize shard-crossing dispatches
+    options.run.shards = 2;
+    options.run.policy = core::PolicyKind::kHier;
+    options.run.steal_threshold = 0;  // maximize shard-crossing dispatches
     options.adaptive_backlog = 0;
     options.guard.mode = core::GuardMode::kFull;
     const runtime::RuntimeStats st = run_app(app, options);

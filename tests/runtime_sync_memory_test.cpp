@@ -16,6 +16,13 @@ using core::Program;
 using core::ProgramBuilder;
 using core::ThreadId;
 
+/// Make `block` current for every kernel: stage it in the shadow
+/// generation and flip (one group owns them all).
+void load(SyncMemoryGroup& sm, BlockId block) {
+  sm.preload_shadow(block, /*group=*/0, /*groups=*/1);
+  sm.promote_shadow(/*group=*/0, /*groups=*/1);
+}
+
 Program two_block_program(ThreadId ids[6]) {
   ProgramBuilder b;
   const BlockId b0 = b.add_block();
@@ -57,8 +64,8 @@ TEST(SyncMemoryTest, LoadBlockInitializesReadyCounts) {
   Program p = two_block_program(ids);
   SyncMemoryGroup sm(p, 2);
 
-  sm.load_block(0);
-  EXPECT_EQ(sm.loaded_block(), 0u);
+  load(sm, 0);
+  EXPECT_EQ(sm.current_block(0), 0u);
   EXPECT_EQ(sm.count(ids[0]), 0u);
   EXPECT_EQ(sm.count(ids[1]), 0u);
   EXPECT_EQ(sm.count(ids[2]), 2u);
@@ -70,7 +77,7 @@ TEST(SyncMemoryTest, DecrementWithTktReachesZeroExactlyOnce) {
   ThreadId ids[6];
   Program p = two_block_program(ids);
   SyncMemoryGroup sm(p, 2);
-  sm.load_block(0);
+  load(sm, 0);
 
   EXPECT_FALSE(sm.decrement(ids[2], /*use_tkt=*/true));
   EXPECT_EQ(sm.count(ids[2]), 1u);
@@ -83,8 +90,8 @@ TEST(SyncMemoryTest, SequentialSearchMatchesTktAndCountsSteps) {
   Program p = two_block_program(ids);
   SyncMemoryGroup sm_tkt(p, 2);
   SyncMemoryGroup sm_scan(p, 2);
-  sm_tkt.load_block(0);
-  sm_scan.load_block(0);
+  load(sm_tkt, 0);
+  load(sm_scan, 0);
 
   std::uint64_t steps = 0;
   EXPECT_EQ(sm_tkt.decrement(ids[2], true),
@@ -98,10 +105,10 @@ TEST(SyncMemoryTest, BlockReloadReusesSlots) {
   Program p = two_block_program(ids);
   SyncMemoryGroup sm(p, 2);
 
-  sm.load_block(0);
+  load(sm, 0);
   sm.decrement(ids[2], true);
-  sm.load_block(1);
-  EXPECT_EQ(sm.loaded_block(), 1u);
+  load(sm, 1);
+  EXPECT_EQ(sm.current_block(0), 1u);
   EXPECT_EQ(sm.count(ids[3]), 0u);
   EXPECT_EQ(sm.count(ids[4]), 1u);
   EXPECT_EQ(sm.count(ids[5]), 0u);
@@ -120,7 +127,7 @@ TEST(SyncMemoryTest, HomesBeyondKernelCountClampToKernelZero) {
   // Runtime launched with only 2 kernels: thread must land somewhere.
   SyncMemoryGroup sm(p, 2);
   EXPECT_EQ(sm.tkt(t).kernel, 0u);
-  sm.load_block(0);
+  load(sm, 0);
   EXPECT_EQ(sm.count(t), 0u);
 }
 
@@ -128,7 +135,7 @@ TEST(SyncMemoryTest, BadBlockIdRejected) {
   ThreadId ids[6];
   Program p = two_block_program(ids);
   SyncMemoryGroup sm(p, 2);
-  EXPECT_THROW(sm.load_block(9), core::TFluxError);
+  EXPECT_THROW(sm.preload_shadow(9, 0, 1), core::TFluxError);
 }
 
 }  // namespace

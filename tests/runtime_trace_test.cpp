@@ -45,8 +45,8 @@ TEST_P(RuntimeTraceTest, TraceReconcilesWithStatsAndChecksClean) {
   core::ExecTrace trace;
   runtime::RuntimeOptions options;
   options.num_kernels = params.num_kernels;
-  options.policy = cfg.policy;
-  options.tsu_groups = cfg.groups;
+  options.run.policy = cfg.policy;
+  options.run.tsu_groups = cfg.groups;
   options.trace = &trace;
   runtime::Runtime rt(run.program, options);
   const runtime::RuntimeStats stats = rt.run();
@@ -165,13 +165,12 @@ TEST(RuntimeTraceMutexTest, MutexStructuresTraceChecksClean) {
   core::ExecTrace trace;
   runtime::RuntimeOptions options;
   options.num_kernels = 2;
-  options.lockfree = false;
-  options.block_pipeline = false;
+  options.run.lockfree = false;
   options.trace = &trace;
   runtime::Runtime rt(run.program, options);
   (void)rt.run();
   EXPECT_TRUE(run.validate());
-  EXPECT_FALSE(trace.pipelined);
+  EXPECT_TRUE(trace.pipelined);
   EXPECT_FALSE(trace.lockfree);
   const core::CheckReport report = check_trace(run.program, trace);
   EXPECT_TRUE(report.clean()) << report.to_string(run.program);

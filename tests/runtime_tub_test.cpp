@@ -158,15 +158,19 @@ TEST(TubGroupTest, RoutesByConsumerHomeGroup) {
   const core::ThreadId t1 = b.add_thread(blk, "g1", {}, {}, 1);
   core::Program p = b.build(core::BuildOptions{.num_kernels = 2});
   SyncMemoryGroup sm(p, 2);
-  TubGroup tubs(p, sm, 2, 4, 16);
+  TubGroup tubs(p, sm,
+                TubGroupOptions{.num_groups = 2,
+                                .lockfree = false,
+                                .segments = 4,
+                                .segment_capacity = 16});
 
   EXPECT_EQ(tubs.group_of_thread(t0), 0u);
   EXPECT_EQ(tubs.group_of_thread(t1), 1u);
 
-  // Coalescing on (the default): {t0, t1} is a consecutive-id run, so
-  // it becomes one range record published to *both* owning groups
-  // (each applies only its own partition); the trailing t1 repeat
-  // breaks the run and stays a unit update routed to group 1 alone.
+  // {t0, t1} is a consecutive-id run, so it becomes one range record
+  // published to *both* owning groups (each applies only its own
+  // partition); the trailing t1 repeat breaks the run and stays a unit
+  // update routed to group 1 alone.
   tubs.publish_updates({t0, t1, t1}, 0);
   std::vector<TubEntry> g0, g1;
   EXPECT_EQ(tubs.tub(0).drain(g0), 1u);
@@ -177,23 +181,6 @@ TEST(TubGroupTest, RoutesByConsumerHomeGroup) {
   EXPECT_EQ(g1[0].kind, TubEntry::Kind::kRangeUpdate);
   EXPECT_EQ(g1[1].kind, TubEntry::Kind::kUpdate);
   EXPECT_EQ(g1[1].id, t1);
-
-  // Unit-update ablation: every update is a single record routed to
-  // exactly the consumer's home group.
-  TubGroup unit_tubs(p, sm,
-                     TubGroupOptions{.num_groups = 2,
-                                     .lockfree = false,
-                                     .segments = 4,
-                                     .segment_capacity = 16,
-                                     .coalesce = false});
-  unit_tubs.publish_updates({t0, t1, t1}, 0);
-  g0.clear();
-  g1.clear();
-  EXPECT_EQ(unit_tubs.tub(0).drain(g0), 1u);
-  EXPECT_EQ(unit_tubs.tub(1).drain(g1), 2u);
-  EXPECT_EQ(g0[0].id, t0);
-  EXPECT_EQ(g0[0].kind, TubEntry::Kind::kUpdate);
-  EXPECT_EQ(g1[0].id, t1);
 }
 
 TEST(TubGroupTest, LoadBroadcastAndOutletToCoordinator) {
@@ -201,7 +188,11 @@ TEST(TubGroupTest, LoadBroadcastAndOutletToCoordinator) {
   b.add_thread(b.add_block(), "t", {}, {}, 0);
   core::Program p = b.build(core::BuildOptions{.num_kernels = 3});
   SyncMemoryGroup sm(p, 3);
-  TubGroup tubs(p, sm, 3, 4, 16);
+  TubGroup tubs(p, sm,
+                TubGroupOptions{.num_groups = 3,
+                                .lockfree = false,
+                                .segments = 4,
+                                .segment_capacity = 16});
 
   tubs.publish_load_block(0, 0);
   tubs.publish_outlet_done(0, 0);
@@ -219,7 +210,11 @@ TEST(TubGroupTest, ShutdownBroadcastReachesEveryGroup) {
   b.add_thread(b.add_block(), "t", {}, {}, 0);
   core::Program p = b.build(core::BuildOptions{.num_kernels = 2});
   SyncMemoryGroup sm(p, 2);
-  TubGroup tubs(p, sm, 2, 2, 8);
+  TubGroup tubs(p, sm,
+                TubGroupOptions{.num_groups = 2,
+                                .lockfree = false,
+                                .segments = 2,
+                                .segment_capacity = 8});
   tubs.broadcast_shutdown();
   for (std::uint16_t g = 0; g < 2; ++g) {
     std::vector<TubEntry> out;

@@ -1,5 +1,5 @@
 // Tests for the tflux_run CLI: argument parsing and end-to-end runs on
-// fast platforms.
+// fast platforms; plus tflux_serve's argument parsing.
 #include "tools/cli.h"
 
 #include <gtest/gtest.h>
@@ -7,8 +7,10 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "core/error.h"
+#include "tools/serve.h"
 
 namespace tflux::tools {
 namespace {
@@ -29,9 +31,28 @@ TEST(CliParseTest, MutexRuntimeFlagSelectsAblationPath) {
   EXPECT_FALSE(parse_args({"--mutex-runtime"}).lockfree);
 }
 
-TEST(CliParseTest, NoCoalesceFlagSelectsUnitUpdates) {
-  EXPECT_TRUE(parse_args({}).coalesce);
-  EXPECT_FALSE(parse_args({"--no-coalesce"}).coalesce);
+TEST(CliParseTest, RetiredAblationFlagsAreUnknown) {
+  // Synchronous block reload and unit updates are gone; their flags
+  // must fail loudly instead of being silently ignored.
+  for (const char* retired : {"block-pipeline", "coalesce"}) {
+    EXPECT_THROW(parse_args({std::string("--no-") + retired}),
+                 core::TFluxError);
+  }
+}
+
+TEST(CliParseTest, IntegerFlagsRejectValuesTheFieldCannotHold) {
+  // Each flag is bounded by its field's type: nothing wraps.
+  EXPECT_THROW(parse_args({"--kernels=65537"}), core::TFluxError);
+  EXPECT_THROW(parse_args({"--kernels=-65535"}), core::TFluxError);
+  EXPECT_THROW(parse_args({"--kernels=+2"}), core::TFluxError);
+  EXPECT_THROW(parse_args({"--tsu-groups=65536"}), core::TFluxError);
+  EXPECT_THROW(parse_args({"--shards=-1"}), core::TFluxError);
+  EXPECT_THROW(parse_args({"--unroll=4294967296"}), core::TFluxError);
+  EXPECT_THROW(parse_args({"--tsu-capacity=4294967296"}), core::TFluxError);
+  EXPECT_THROW(parse_args({"--repeat=4294967297"}), core::TFluxError);
+  EXPECT_EQ(parse_args({"--kernels=65535"}).kernels, 65535u);
+  EXPECT_EQ(parse_args({"--tsu-capacity=4294967295"}).tsu_capacity,
+            4294967295u);
 }
 
 TEST(CliParseTest, AllFlags) {
@@ -171,7 +192,6 @@ TEST(CliRunTest, SoftPlatformChecksTraceAndWritesJson) {
   EXPECT_NE(jbuf.str().find("\"steal_dispatches\""), std::string::npos);
   EXPECT_NE(jbuf.str().find("\"range_updates\""), std::string::npos);
   EXPECT_NE(jbuf.str().find("\"range_members\""), std::string::npos);
-  EXPECT_NE(jbuf.str().find("\"coalesce\": true"), std::string::npos);
 
   std::ifstream tf(trace);
   ASSERT_TRUE(tf.good());
@@ -180,6 +200,29 @@ TEST(CliRunTest, SoftPlatformChecksTraceAndWritesJson) {
   EXPECT_EQ(first_line, "ddmtrace 2");
   std::remove(json.c_str());
   std::remove(trace.c_str());
+}
+
+TEST(ServeParseTest, IntegerFlagsRejectValuesTheFieldCannotHold) {
+  EXPECT_THROW(parse_serve_args({"--pool=65538"}), core::TFluxError);
+  EXPECT_THROW(parse_serve_args({"--pool=-2"}), core::TFluxError);
+  EXPECT_THROW(parse_serve_args({"--width=65537"}), core::TFluxError);
+  EXPECT_THROW(parse_serve_args({"--stage-depth=65536"}), core::TFluxError);
+  EXPECT_THROW(parse_serve_args({"--requests=4294967296"}),
+               core::TFluxError);
+  EXPECT_THROW(parse_serve_args({"--queue=0"}), core::TFluxError);
+  EXPECT_THROW(parse_serve_args({"--seed=18446744073709551616"}),
+               core::TFluxError);
+  EXPECT_EQ(parse_serve_args({"--pool=65535"}).pool_kernels, 65535u);
+  EXPECT_EQ(parse_serve_args({"--seed=18446744073709551615"}).seed,
+            18446744073709551615ull);
+}
+
+TEST(ServeParseTest, PolicyNames) {
+  EXPECT_EQ(parse_serve_args({"--policy=hier"}).policy,
+            core::PolicyKind::kHier);
+  EXPECT_EQ(parse_serve_args({"--policy=affinity"}).policy,
+            core::PolicyKind::kAffinity);
+  EXPECT_THROW(parse_serve_args({"--policy=best"}), core::TFluxError);
 }
 
 TEST(CliRunTest, TsuGroupsFlagReachesMachine) {
