@@ -1,5 +1,6 @@
 #include "machine/cache.h"
 
+#include <bit>
 #include <cassert>
 
 #include "core/error.h"
@@ -20,92 +21,112 @@ const char* to_string(Mesi state) {
   return "?";
 }
 
-Cache::Cache(const CacheGeometry& geometry)
-    : geometry_(geometry), num_sets_(geometry.num_sets()) {
-  if (geometry_.line_bytes == 0 ||
-      (geometry_.line_bytes & (geometry_.line_bytes - 1)) != 0) {
+Cache::Cache(const CacheGeometry& geometry) : geometry_(geometry) {
+  // Validate before any division: a zero line size or way count would
+  // otherwise fault in the set-count computation.
+  if (!std::has_single_bit(geometry_.line_bytes)) {
     throw core::TFluxError("Cache: line size must be a power of two");
   }
-  if (num_sets_ == 0) {
+  if (geometry_.line_bytes <= kStateMask) {
+    throw core::TFluxError("Cache: line size must be >= 4 bytes");
+  }
+  if (geometry_.ways == 0) {
+    throw core::TFluxError("Cache: ways must be >= 1");
+  }
+  // 64-bit so a huge way count cannot wrap the divisor to zero.
+  const std::uint64_t sets =
+      geometry_.size_bytes /
+      (std::uint64_t{geometry_.line_bytes} * geometry_.ways);
+  if (sets == 0) {
     throw core::TFluxError("Cache: size/(line*ways) must be >= 1 set");
   }
-  lines_.resize(static_cast<std::size_t>(num_sets_) * geometry_.ways);
-}
-
-Cache::Line* Cache::find(SimAddr line_addr) {
-  const std::uint32_t set = set_index(line_addr);
-  Line* base = &lines_[static_cast<std::size_t>(set) * geometry_.ways];
-  for (std::uint32_t w = 0; w < geometry_.ways; ++w) {
-    if (base[w].state != Mesi::kInvalid && base[w].tag == line_addr) {
-      return &base[w];
-    }
+  if (!std::has_single_bit(sets)) {
+    throw core::TFluxError("Cache: set count must be a power of two");
   }
-  return nullptr;
+  line_shift_ = static_cast<std::uint32_t>(std::countr_zero(geometry_.line_bytes));
+  set_mask_ = static_cast<std::uint32_t>(sets - 1);
+  tags_.assign(sets * geometry_.ways, 0);
+  lru_.assign(sets * geometry_.ways, 0);
 }
 
-const Cache::Line* Cache::find(SimAddr line_addr) const {
-  return const_cast<Cache*>(this)->find(line_addr);
+std::size_t Cache::find(SimAddr line_addr) const {
+  assert(line_of(line_addr) == line_addr && "unaligned line address");
+  const std::size_t base = set_base(line_addr);
+  for (std::size_t w = base; w < base + geometry_.ways; ++w) {
+    if (holds(tags_[w], line_addr)) return w;
+  }
+  return npos;
 }
 
 Mesi Cache::peek(SimAddr line_addr) const {
-  const Line* line = find(line_addr);
-  return line ? line->state : Mesi::kInvalid;
+  const std::size_t w = find(line_addr);
+  return w == npos ? Mesi::kInvalid : state_of(tags_[w]);
 }
 
 Mesi Cache::lookup(SimAddr line_addr) {
-  Line* line = find(line_addr);
-  if (!line) return Mesi::kInvalid;
-  line->lru = ++lru_clock_;
-  return line->state;
+  const std::size_t w = find(line_addr);
+  if (w == npos) return Mesi::kInvalid;
+  lru_[w] = ++lru_clock_;
+  return state_of(tags_[w]);
 }
 
 void Cache::set_state(SimAddr line_addr, Mesi state) {
-  Line* line = find(line_addr);
-  assert(line && "set_state on non-resident line");
+  const std::size_t w = find(line_addr);
+  assert(w != npos && "set_state on non-resident line");
   assert(state != Mesi::kInvalid && "use invalidate()");
-  line->state = state;
+  tags_[w] = line_addr | static_cast<std::uint64_t>(state);
 }
 
 Mesi Cache::invalidate(SimAddr line_addr) {
-  Line* line = find(line_addr);
-  if (!line) return Mesi::kInvalid;
-  const Mesi prev = line->state;
-  line->state = Mesi::kInvalid;
+  const std::size_t w = find(line_addr);
+  if (w == npos) return Mesi::kInvalid;
+  const Mesi prev = state_of(tags_[w]);
+  tags_[w] = line_addr;  // state bits cleared: kInvalid
   return prev;
 }
 
 std::optional<Cache::Victim> Cache::insert(SimAddr line_addr, Mesi state) {
   assert(state != Mesi::kInvalid);
+  const std::size_t w = find(line_addr);
+  if (w == npos) return place(line_addr, state);
+  tags_[w] = line_addr | static_cast<std::uint64_t>(state);
+  lru_[w] = ++lru_clock_;
+  return std::nullopt;
+}
+
+std::optional<Cache::Victim> Cache::fill(SimAddr line_addr, Mesi state) {
+  assert(state != Mesi::kInvalid);
+  return place(line_addr, state);
+}
+
+std::optional<Cache::Victim> Cache::place(SimAddr line_addr, Mesi state) {
   assert(line_of(line_addr) == line_addr && "insert of unaligned line");
-  if (Line* line = find(line_addr)) {
-    line->state = state;
-    line->lru = ++lru_clock_;
-    return std::nullopt;
-  }
-  const std::uint32_t set = set_index(line_addr);
-  Line* base = &lines_[static_cast<std::size_t>(set) * geometry_.ways];
-  Line* slot = nullptr;
-  for (std::uint32_t w = 0; w < geometry_.ways; ++w) {
-    if (base[w].state == Mesi::kInvalid) {
-      slot = &base[w];
+  const std::size_t base = set_base(line_addr);
+  std::size_t slot = base;
+  for (std::size_t w = base; w < base + geometry_.ways; ++w) {
+    // A full residency check would be a second scan, the cost fill()
+    // exists to avoid; check the ways this scan visits.
+    assert(!holds(tags_[w], line_addr) && "fill of a resident line");
+    if (state_of(tags_[w]) == Mesi::kInvalid) {
+      slot = w;
       break;
     }
-    if (!slot || base[w].lru < slot->lru) slot = &base[w];
+    if (lru_[w] < lru_[slot]) slot = w;
   }
   std::optional<Victim> victim;
-  if (slot->state != Mesi::kInvalid) {
-    victim = Victim{slot->tag, slot->state};
+  const std::uint64_t old = tags_[slot];
+  if (state_of(old) != Mesi::kInvalid) {
+    victim = Victim{old & ~kStateMask, state_of(old)};
   }
-  slot->tag = line_addr;
-  slot->state = state;
-  slot->lru = ++lru_clock_;
+  tags_[slot] = line_addr | static_cast<std::uint64_t>(state);
+  lru_[slot] = ++lru_clock_;
   return victim;
 }
 
 std::size_t Cache::valid_lines() const {
   std::size_t n = 0;
-  for (const Line& l : lines_) {
-    if (l.state != Mesi::kInvalid) ++n;
+  for (const std::uint64_t word : tags_) {
+    if (state_of(word) != Mesi::kInvalid) ++n;
   }
   return n;
 }

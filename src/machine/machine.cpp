@@ -185,8 +185,8 @@ void Machine::complete_thread(core::KernelId k) {
   // the rest of the load continues in the background - so the visible
   // latency covers only ~one entry per kernel, not the whole block.
   const std::uint16_t local_group = group_of(k);
-  std::vector<std::uint64_t> ops_per_group(num_groups_, 0);
-  ops_per_group[local_group] += 1;  // the completion note itself
+  ops_per_group_.assign(num_groups_, 0);
+  ops_per_group_[local_group] += 1;  // the completion note itself
   auto target_group = [this](core::ThreadId target) {
     core::KernelId home = program_.thread(target).home_kernel;
     if (home >= config_.num_kernels) home = 0;
@@ -195,12 +195,12 @@ void Machine::complete_thread(core::KernelId k) {
   switch (t.kind) {
     case core::ThreadKind::kInlet:
       for (core::ThreadId app : program_.block(t.block).app_threads) {
-        ++ops_per_group[target_group(app)];
+        ++ops_per_group_[target_group(app)];
       }
       break;
     case core::ThreadKind::kApplication:
       for (core::ThreadId consumer : t.consumers) {
-        ++ops_per_group[target_group(consumer)];
+        ++ops_per_group_[target_group(consumer)];
       }
       break;
     case core::ThreadKind::kOutlet:
@@ -209,7 +209,7 @@ void Machine::complete_thread(core::KernelId k) {
 
   Cycles t_done = 0;
   for (std::uint16_t g = 0; g < num_groups_; ++g) {
-    const std::uint64_t ops = ops_per_group[g];
+    const std::uint64_t ops = ops_per_group_[g];
     if (ops == 0) continue;
     Cycles ready_at = now + local_access_latency();
     if (g != local_group) {

@@ -141,6 +141,8 @@ class Machine {
   std::vector<sim::SerialResource> tsu_ports_;  // one per TSU Group
   std::deque<core::KernelId> parked_;
   std::vector<ExecCursor> running_;  // per kernel
+  /// complete_thread's per-group operation counts, reused per DThread.
+  std::vector<std::uint64_t> ops_per_group_;
   MachineStats stats_;
   sim::Trace* trace_ = nullptr;
   Cycles end_time_ = 0;

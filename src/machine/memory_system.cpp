@@ -75,9 +75,8 @@ Cycles MemorySystem::access_line(std::uint16_t core, SimAddr l1_line,
     const Mesi l2_state = l2.lookup(l2_line);
     if (l2_state != Mesi::kInvalid) {
       ++stats_.l2_hits;
-      if (auto v = l1.insert(l1_line, Mesi::kShared)) {
-        (void)v;  // L1 is write-through: victims are clean, drop them
-      }
+      // L1 is write-through: its victims are clean, drop them.
+      l1.fill(l1_line, Mesi::kShared);
       return now + config_.l2.read_latency;
     }
     ++stats_.l2_misses;
@@ -108,10 +107,10 @@ Cycles MemorySystem::access_line(std::uint16_t core, SimAddr l1_line,
     }
     const Mesi fill_state = peer_had ? Mesi::kShared : Mesi::kExclusive;
     const Cycles t_done = grant + bus_occupancy + supply;
-    if (auto victim = l2.insert(l2_line, fill_state)) {
+    if (auto victim = l2.fill(l2_line, fill_state)) {
       handle_l2_victim(core, *victim, t_done);
     }
-    l1.insert(l1_line, Mesi::kShared);
+    l1.fill(l1_line, Mesi::kShared);
     return t_done;
   }
 
@@ -127,7 +126,7 @@ Cycles MemorySystem::access_line(std::uint16_t core, SimAddr l1_line,
       } else {
         ++stats_.l1_misses;
         ++stats_.l2_hits;
-        l1.insert(l1_line, Mesi::kShared);
+        l1.fill(l1_line, Mesi::kShared);
       }
       return now + config_.l1.write_latency;
     }
@@ -173,10 +172,11 @@ Cycles MemorySystem::access_line(std::uint16_t core, SimAddr l1_line,
         ++stats_.mem_fetches;
       }
       const Cycles t_done = grant + bus_occupancy + supply;
-      if (auto victim = l2.insert(l2_line, Mesi::kModified)) {
+      if (auto victim = l2.fill(l2_line, Mesi::kModified)) {
         handle_l2_victim(core, *victim, t_done);
       }
-      l1.insert(l1_line, Mesi::kShared);
+      // Inclusion: a line absent from L2 is absent from L1 too.
+      l1.fill(l1_line, Mesi::kShared);
       return t_done;
     }
   }

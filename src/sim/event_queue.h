@@ -2,11 +2,14 @@
 // simulators (TFluxHard / TFluxSoft-sim / TFluxCell). Events at equal
 // timestamps run in scheduling order (FIFO), making every simulation
 // bit-reproducible.
+//
+// The binary heap holds only small (time, sequence, slot) keys; each
+// callback sits in a slot of a reusable pool, so heap sifts never move
+// a std::function.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "core/types.h"
@@ -36,18 +39,22 @@ class EventQueue {
   std::uint64_t executed() const { return executed_; }
 
  private:
-  struct Event {
+  struct Key {
     Cycles t;
     std::uint64_t seq;
-    Callback cb;
+    std::uint32_t slot;
   };
+  /// The std heap algorithms keep the greatest element on top; ordering
+  /// by "later" puts the earliest (time, sequence) there.
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       return a.t != b.t ? a.t > b.t : a.seq > b.seq;
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  std::vector<Key> heap_;
+  std::vector<Callback> slots_;
+  std::vector<std::uint32_t> free_slots_;
   Cycles now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/resource.h"
@@ -51,6 +54,58 @@ TEST(EventQueueTest, StepReturnsFalseWhenEmpty) {
   eq.at(1, [] {});
   EXPECT_TRUE(eq.step());
   EXPECT_FALSE(eq.step());
+}
+
+// Events that schedule more events (many at equal times, some at
+// dt = 0) reuse the slots of events already run. Every event is
+// scheduled at or after now(), so the run order must be exactly the
+// (time, scheduling order) sort of all events ever scheduled.
+TEST(EventQueueTest, NestedSchedulingKeepsTimeFifoOrder) {
+  EventQueue eq;
+  SplitMix64 rng(11);
+  std::vector<Cycles> scheduled;  // due time, by scheduling order
+  std::vector<std::size_t> ran;
+  constexpr std::size_t kEvents = 10000;
+  std::function<void(Cycles)> schedule = [&](Cycles t) {
+    const std::size_t id = scheduled.size();
+    scheduled.push_back(t);
+    eq.at(t, [&, id] {
+      EXPECT_EQ(eq.now(), scheduled[id]);
+      ran.push_back(id);
+      const int children = rng.next_below(4) == 0 ? 2 : 1;
+      for (int c = 0; c < children && scheduled.size() < kEvents; ++c) {
+        schedule(eq.now() + rng.next_below(4));
+      }
+    });
+  };
+  for (int i = 0; i < 64; ++i) schedule(rng.next_below(8));
+  eq.run();
+
+  ASSERT_EQ(scheduled.size(), kEvents);
+  ASSERT_EQ(ran.size(), kEvents);
+  EXPECT_EQ(eq.executed(), kEvents);
+  std::vector<std::size_t> expected(kEvents);
+  for (std::size_t i = 0; i < kEvents; ++i) expected[i] = i;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return scheduled[a] < scheduled[b];
+                   });
+  EXPECT_EQ(ran, expected);
+}
+
+TEST(EventQueueTest, RunCallbackReleasesItsCaptures) {
+  EventQueue eq;
+  auto first = std::make_shared<int>(1);
+  auto second = std::make_shared<int>(2);
+  eq.at(1, [first] {});
+  eq.at(2, [second] {});
+  EXPECT_EQ(first.use_count(), 2);
+  EXPECT_EQ(second.use_count(), 2);
+  ASSERT_TRUE(eq.step());
+  EXPECT_EQ(first.use_count(), 1);   // ran: captures destroyed
+  EXPECT_EQ(second.use_count(), 2);  // still pending
+  ASSERT_TRUE(eq.step());
+  EXPECT_EQ(second.use_count(), 1);
 }
 
 TEST(SerialResourceTest, GrantsBackToBack) {
