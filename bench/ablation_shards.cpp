@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
     for (std::uint16_t k : kernel_counts) {
       params.num_kernels = k;
       machine::MachineConfig flat = machine::xeon_soft(k);
-      flat.policy = core::PolicyKind::kAdaptive;
+      flat.policy = core::PolicyKind::kLocality;
       const bench::SpeedupCell f =
           bench::measure(app, apps::SizeClass::kSmall,
                          apps::Platform::kNative, flat, params);

@@ -3,9 +3,10 @@
 // into a small JSON document, so the perf trajectory can be tracked
 // as BENCH_*.json files at the repo root (bench/run_benchmarks.sh).
 //
-// Header-only and dependency-free so the google-benchmark binaries
-// (micro_runtime, ablation_tub_tkt) can use the flag parser without
-// linking the figure-bench harness.
+// Header-only (its one include from the tree, core/json.h, is
+// header-only too) so the google-benchmark binaries (micro_runtime,
+// ablation_tub_tkt) can use the flag parser without linking the
+// figure-bench harness.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +15,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "core/json.h"
 
 namespace tflux::bench {
 
@@ -47,7 +50,7 @@ class JsonWriter {
   void begin_row() { rows_.emplace_back(); }
 
   void field(const std::string& key, const std::string& value) {
-    row().emplace_back(key, "\"" + escape(value) + "\"");
+    row().emplace_back(key, "\"" + core::json_escape(value) + "\"");
   }
   void field(const std::string& key, const char* value) {
     field(key, std::string(value));
@@ -80,12 +83,12 @@ class JsonWriter {
                    path.c_str());
       return false;
     }
-    out << "{\n  \"bench\": \"" << escape(bench_name_)
+    out << "{\n  \"bench\": \"" << core::json_escape(bench_name_)
         << "\",\n  \"rows\": [\n";
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       out << "    {";
       for (std::size_t f = 0; f < rows_[i].size(); ++f) {
-        out << "\"" << escape(rows_[i][f].first)
+        out << "\"" << core::json_escape(rows_[i][f].first)
             << "\": " << rows_[i][f].second;
         if (f + 1 < rows_[i].size()) out << ", ";
       }
@@ -101,16 +104,6 @@ class JsonWriter {
   Row& row() {
     if (rows_.empty()) rows_.emplace_back();
     return rows_.back();
-  }
-
-  static std::string escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      out.push_back(c);
-    }
-    return out;
   }
 
   std::string bench_name_;

@@ -128,12 +128,13 @@ void BM_SmDecrement(benchmark::State& state) {
   const bool use_tkt = state.range(0) != 0;
   const int width = static_cast<int>(state.range(1));
   core::Program program = make_wide_program(8, width);
-  runtime::SyncMemoryGroup sm(program, 8);
+  const core::ShardMap map = core::ShardMap::interleaved(8, 1);
+  runtime::SyncMemoryGroup sm(program, map);
   std::uint64_t steps = 0;
   std::size_t next = 0;
   auto load_block0 = [&sm] {
-    sm.preload_shadow(0, /*group=*/0, /*groups=*/1);
-    sm.promote_shadow(/*group=*/0, /*groups=*/1);
+    sm.preload_shadow(0, /*group=*/0);
+    sm.promote_shadow(/*group=*/0);
   };
   load_block0();
   for (auto _ : state) {

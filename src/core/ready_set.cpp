@@ -10,8 +10,6 @@ const char* to_string(PolicyKind kind) {
       return "fifo";
     case PolicyKind::kLocality:
       return "locality";
-    case PolicyKind::kAdaptive:
-      return "adaptive";
     case PolicyKind::kHier:
       return "hier";
     case PolicyKind::kAffinity:
@@ -22,8 +20,8 @@ const char* to_string(PolicyKind kind) {
 
 bool parse_policy(const std::string& name, PolicyKind& out) {
   for (PolicyKind kind :
-       {PolicyKind::kFifo, PolicyKind::kLocality, PolicyKind::kAdaptive,
-        PolicyKind::kHier, PolicyKind::kAffinity}) {
+       {PolicyKind::kFifo, PolicyKind::kLocality, PolicyKind::kHier,
+        PolicyKind::kAffinity}) {
     if (name == to_string(kind)) {
       out = kind;
       return true;

@@ -19,18 +19,14 @@ namespace tflux::core {
 enum class PolicyKind : std::uint8_t {
   kFifo,      ///< single global FIFO, ignores locality
   kLocality,  ///< per-kernel queues keyed by home kernel; steal on empty
-  /// Occupancy-aware locality: keep a DThread on its home kernel while
-  /// that kernel's backlog stays below a threshold, otherwise give it
-  /// to the least-loaded kernel. In the single-threaded TSUs (ReadySet)
-  /// this degenerates to kLocality - a requester pulling its own queue
-  /// first *is* backlog-driven routing; the native runtime's TSU
-  /// Emulator implements the real mailbox-depth probe.
-  kAdaptive,
   /// Hierarchical stealing over a ShardMap: home queue first, then
   /// sibling kernels in the requester's shard, then remote shards
   /// (highest-backlog victim first, so work drains from the most
   /// overloaded cluster). Without a ShardMap this degenerates to
-  /// kLocality (one flat shard).
+  /// kLocality (one flat shard). The native TSU Emulator routes on the
+  /// push side by mailbox depth: home while its backlog is shallow,
+  /// else the shallowest sibling, else (clustered map only) a remote
+  /// shard.
   kHier,
   /// Data-plane affinity: route each ready DThread to the kernel
   /// holding the largest share of its input bytes (the DataPlane's

@@ -1,5 +1,7 @@
 #include "core/topology.h"
 
+#include <string>
+
 #include "core/error.h"
 
 namespace tflux::core {
@@ -34,6 +36,25 @@ ShardMap ShardMap::interleaved(std::uint16_t num_kernels,
     map.kernels_[s].push_back(k);
   }
   return map;
+}
+
+ShardMap ShardMap::resolve(std::uint16_t num_kernels,
+                           std::uint16_t tsu_groups, std::uint16_t shards) {
+  if (num_kernels == 0) {
+    throw TFluxError("TSU ownership: num_kernels must be >= 1");
+  }
+  if (tsu_groups == 0 || tsu_groups > num_kernels) {
+    throw TFluxError("TSU ownership: tsu_groups must be in [1, " +
+                     std::to_string(num_kernels) + "], got " +
+                     std::to_string(tsu_groups));
+  }
+  if (shards > num_kernels) {
+    throw TFluxError("TSU ownership: shards must be <= " +
+                     std::to_string(num_kernels) + ", got " +
+                     std::to_string(shards));
+  }
+  return shards >= 1 ? clustered(num_kernels, shards)
+                     : interleaved(num_kernels, tsu_groups);
 }
 
 ShardMap ShardMap::clustered(std::uint16_t num_kernels,

@@ -1,13 +1,15 @@
-// ShardMap: the kernel-to-shard topology model shared by every layer
-// that must agree on TSU ownership (emulator scheduling loops, SM span
+// ShardMap: the kernel-to-TSU-group ownership model shared by every
+// layer that must agree on it (emulator scheduling loops, SM span
 // partitions, TUB routing, the simulated machine's TSU ports, and the
-// static shard-balance lint).
+// static shard-balance lint). Every native run and every simulated
+// machine owns exactly one, built by ShardMap::resolve().
 //
 // Two mappings exist:
-//   kInterleaved - kernel k belongs to shard k % S. This is the legacy
-//                  `tsu_groups` striping: with round-robin home-kernel
-//                  assignment it balances load perfectly but scatters
-//                  each shard's kernels across the whole id space.
+//   kInterleaved - kernel k belongs to shard k % S. This is the paper's
+//                  section 4.1 `tsu_groups` striping: with round-robin
+//                  home-kernel assignment it balances load perfectly
+//                  but scatters each shard's kernels across the whole
+//                  id space.
 //   kClustered   - contiguous balanced ranges (shard s owns a run of
 //                  floor(K/S) or ceil(K/S) consecutive kernels). This
 //                  models core clusters / sockets: siblings share a
@@ -29,7 +31,7 @@ class ShardMap {
  public:
   enum class Kind : std::uint8_t { kInterleaved, kClustered };
 
-  /// Legacy striping: kernel k -> shard k % num_shards.
+  /// TSU-group striping: kernel k -> shard k % num_shards.
   static ShardMap interleaved(std::uint16_t num_kernels,
                               std::uint16_t num_shards);
 
@@ -39,6 +41,14 @@ class ShardMap {
   /// kernel).
   static ShardMap clustered(std::uint16_t num_kernels,
                             std::uint16_t num_shards);
+
+  /// The ownership map of a run over `num_kernels` kernels:
+  /// clustered(num_kernels, shards) when `shards` >= 1 (the sharded
+  /// TSU), interleaved(num_kernels, tsu_groups) otherwise. Throws
+  /// TFluxError unless 1 <= tsu_groups <= num_kernels and shards <=
+  /// num_kernels (tsu_groups is checked even when shards overrides it).
+  static ShardMap resolve(std::uint16_t num_kernels, std::uint16_t tsu_groups,
+                          std::uint16_t shards);
 
   std::uint16_t shard_of(KernelId k) const { return shard_of_[k]; }
 
@@ -65,6 +75,14 @@ class ShardMap {
     return static_cast<std::uint16_t>(kernels_.size());
   }
   Kind kind() const { return kind_; }
+  /// True for the clustered topology. Only a clustered map engages the
+  /// topology-only behaviours: remote steal grants, intra/inter-shard
+  /// latencies, hierarchical pull and cross-shard byte accounting.
+  bool clustered() const { return kind_ == Kind::kClustered; }
+  /// This map when clustered, else null: what the topology-only
+  /// consumers (ReadySet / TsuState hierarchical pull, the DataPlane's
+  /// cross-shard bytes) take, so a flat run keeps their flat paths.
+  const ShardMap* topology() const { return clustered() ? this : nullptr; }
 
   /// True when kernels `a` and `b` live in the same shard.
   bool same_shard(KernelId a, KernelId b) const {

@@ -58,9 +58,10 @@ struct TsuTiming {
   /// TSU Groups. A version of the TSU Group supporting such
   /// functionality is currently under development." - implemented here
   /// as an extension: kernels are partitioned round-robin over the
-  /// groups, each group has its own command port, and Ready Count
-  /// updates whose target lives in another group pay
-  /// `intergroup_latency` and occupy the remote group's port.
+  /// groups (core::ShardMap::interleaved), each group has its own
+  /// command port, and Ready Count updates whose target lives in
+  /// another group pay `intergroup_latency` and occupy the remote
+  /// group's port. Must be in [1, num_kernels].
   std::uint16_t num_groups = 1;
   /// One-way latency of the TSU-to-TSU link between groups.
   Cycles intergroup_latency = 16;
@@ -70,7 +71,7 @@ struct TsuTiming {
 /// shards (contiguous ranges, core::ShardMap), each shard gets its own
 /// TSU port, and exchanges declare different intra- vs inter-shard
 /// costs. Configurable up to simulated 32-128-kernel machines; shards
-/// == 1 is the flat (single-domain) baseline and leaves the legacy
+/// == 1 is the flat (single-domain) baseline and leaves the
 /// interleaved TsuTiming::num_groups model in charge.
 struct TopologyConfig {
   /// Number of shards. 1 = flat; >= 2 enables the clustered topology

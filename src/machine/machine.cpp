@@ -7,28 +7,28 @@
 
 namespace tflux::machine {
 
+namespace {
+
+/// The machine's TSU-group ownership map. A one-shard topology is the
+/// flat baseline: it leaves the interleaved tsu.num_groups model in
+/// charge.
+core::ShardMap ownership_map(const MachineConfig& config) {
+  const std::uint16_t shards =
+      config.topology.resolved_shards(config.num_kernels);
+  return core::ShardMap::resolve(config.num_kernels, config.tsu.num_groups,
+                                 shards >= 2 ? shards : 0);
+}
+
+}  // namespace
+
 Machine::Machine(const MachineConfig& config, const core::Program& program,
                  bool invoke_bodies)
-    : config_(config), program_(program), invoke_bodies_(invoke_bodies) {
-  if (config_.num_kernels == 0) {
-    throw core::TFluxError("Machine: num_kernels must be >= 1");
-  }
+    : config_(config),
+      program_(program),
+      invoke_bodies_(invoke_bodies),
+      map_(ownership_map(config_)) {
   if (config_.exec_quantum == 0) {
     throw core::TFluxError("Machine: exec_quantum must be >= 1");
-  }
-  if (config_.tsu.num_groups == 0) {
-    throw core::TFluxError("Machine: tsu.num_groups must be >= 1");
-  }
-  const std::uint16_t shards =
-      config_.topology.resolved_shards(config_.num_kernels);
-  if (shards > config_.num_kernels) {
-    throw core::TFluxError("Machine: topology shards must be <= num_kernels");
-  }
-  if (shards >= 2) {
-    shard_map_ = core::ShardMap::clustered(config_.num_kernels, shards);
-    num_groups_ = shards;
-  } else {
-    num_groups_ = config_.tsu.num_groups;
   }
   running_.resize(config_.num_kernels);
 }
@@ -79,10 +79,10 @@ void Machine::dispatch(core::KernelId k, core::ThreadId tid) {
   // steal: the DThread's home lives in another cluster) pays the
   // inter-shard link on top.
   Cycles access = local_access_latency();
-  if (shard_map_) {
+  if (map_.clustered()) {
     core::KernelId home = t.home_kernel;
     if (home >= config_.num_kernels) home = 0;
-    if (!shard_map_->same_shard(home, k)) access += cross_group_latency();
+    if (!map_.same_shard(home, k)) access += cross_group_latency();
   }
   const Cycles start = eq_.now() + access + config_.thread_switch_cycles;
   cur.started_at = start;
@@ -184,13 +184,14 @@ void Machine::complete_thread(core::KernelId k) {
   // ready DThreads as soon as enough metadata entries are in, while
   // the rest of the load continues in the background - so the visible
   // latency covers only ~one entry per kernel, not the whole block.
-  const std::uint16_t local_group = group_of(k);
-  ops_per_group_.assign(num_groups_, 0);
+  const std::uint16_t local_group = map_.shard_of(k);
+  const std::uint16_t groups = map_.num_shards();
+  ops_per_group_.assign(groups, 0);
   ops_per_group_[local_group] += 1;  // the completion note itself
   auto target_group = [this](core::ThreadId target) {
     core::KernelId home = program_.thread(target).home_kernel;
     if (home >= config_.num_kernels) home = 0;
-    return group_of(home);
+    return map_.shard_of(home);
   };
   switch (t.kind) {
     case core::ThreadKind::kInlet:
@@ -208,7 +209,7 @@ void Machine::complete_thread(core::KernelId k) {
   }
 
   Cycles t_done = 0;
-  for (std::uint16_t g = 0; g < num_groups_; ++g) {
+  for (std::uint16_t g = 0; g < groups; ++g) {
     const std::uint64_t ops = ops_per_group_[g];
     if (ops == 0) continue;
     Cycles ready_at = now + local_access_latency();
@@ -223,7 +224,7 @@ void Machine::complete_thread(core::KernelId k) {
                        grant + ops * config_.tsu.op_cycles,
                        "tsu:" + t.label);
     }
-    const std::uint64_t group_kernels = kernels_of_group(g);
+    const std::uint64_t group_kernels = map_.kernels(g).size();
     const std::uint64_t visible_ops =
         t.kind == core::ThreadKind::kInlet
             ? std::min<std::uint64_t>(ops, group_kernels + 1u)
@@ -276,20 +277,18 @@ MachineStats Machine::run() {
 
   mem_ = std::make_unique<MemorySystem>(config_, config_.num_kernels);
   if (config_.dataplane) {
-    dataplane_ = std::make_unique<core::DataPlane>(
-        program_, shard_map_ ? &*shard_map_ : nullptr);
+    dataplane_ = std::make_unique<core::DataPlane>(program_, map_.topology());
   }
   tsu_ = std::make_unique<core::TsuState>(program_, config_.num_kernels,
-                                          config_.policy,
-                                          shard_map_ ? &*shard_map_ : nullptr,
+                                          config_.policy, map_.topology(),
                                           dataplane_.get());
   stats_.kernel_busy.assign(config_.num_kernels, 0);
-  tsu_ports_ = std::vector<sim::SerialResource>(num_groups_);
+  tsu_ports_ = std::vector<sim::SerialResource>(map_.num_shards());
   if (trace_) {
     for (core::KernelId k = 0; k < config_.num_kernels; ++k) {
       trace_->set_lane_name(k, "kernel " + std::to_string(k));
     }
-    for (std::uint16_t g = 0; g < num_groups_; ++g) {
+    for (std::uint16_t g = 0; g < map_.num_shards(); ++g) {
       trace_->set_lane_name(config_.num_kernels + g,
                             "TSU group " + std::to_string(g));
     }

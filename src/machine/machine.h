@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/dataplane.h"
@@ -48,7 +47,7 @@ struct MachineStats {
   Cycles tsu_busy_cycles = 0;  ///< summed over all TSU Groups
   Cycles tsu_wait_cycles = 0;
   std::uint64_t tsu_grants = 0;
-  /// Per-TSU-Group port occupancy (size = config.tsu.num_groups).
+  /// Per-TSU-Group port occupancy (one entry per group of the map).
   std::vector<Cycles> tsu_group_busy;
   /// Ready Count updates that crossed a TSU-to-TSU link.
   std::uint64_t tsu_intergroup_updates = 0;
@@ -101,34 +100,19 @@ class Machine {
   MachineConfig config_;
   const core::Program& program_;
   bool invoke_bodies_;
-  /// Effective TSU domain count: the resolved topology shard count
-  /// when the clustered topology is on, tsu.num_groups otherwise.
-  std::uint16_t num_groups_ = 1;
-  /// Clustered kernel-to-shard map (engaged only when the topology
-  /// resolves to >= 2 shards; TsuState borrows it for kHier).
-  std::optional<core::ShardMap> shard_map_;
+  /// TSU-group ownership: clustered when the topology resolves to >= 2
+  /// shards, interleaved over tsu.num_groups otherwise.
+  const core::ShardMap map_;
 
-  /// TSU Group of a kernel: the shard map's cluster, or the legacy
-  /// round-robin partition.
-  std::uint16_t group_of(core::KernelId k) const {
-    return shard_map_ ? shard_map_->shard_of(k)
-                      : static_cast<std::uint16_t>(k % num_groups_);
-  }
-  /// Kernels served by group `g`.
-  std::uint64_t kernels_of_group(std::uint16_t g) const {
-    return shard_map_ ? shard_map_->kernels(g).size()
-                      : (config_.num_kernels + num_groups_ - 1 - g) /
-                            num_groups_;
-  }
   /// One-way kernel<->TSU latency within the home domain.
   Cycles local_access_latency() const {
-    return shard_map_ && config_.topology.intra_shard_latency != 0
+    return map_.clustered() && config_.topology.intra_shard_latency != 0
                ? config_.topology.intra_shard_latency
                : config_.tsu.access_latency;
   }
   /// Extra one-way latency for an operation crossing domains.
   Cycles cross_group_latency() const {
-    return shard_map_ && config_.topology.inter_shard_latency != 0
+    return map_.clustered() && config_.topology.inter_shard_latency != 0
                ? config_.topology.inter_shard_latency
                : config_.tsu.intergroup_latency;
   }

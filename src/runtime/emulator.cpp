@@ -7,36 +7,32 @@
 #include "runtime/trace_log.h"
 
 namespace tflux::runtime {
+namespace {
+
+/// `group`'s TUB, validated before the emulator binds a reference to it.
+TubQueue& group_tub(TubGroup& tubs, std::uint16_t group) {
+  if (group >= tubs.num_groups()) {
+    throw core::TFluxError("TsuEmulator: bad group configuration");
+  }
+  return tubs.tub(group);
+}
+
+}  // namespace
 
 TsuEmulator::TsuEmulator(const core::Program& program, TubGroup& tubs,
                          SyncMemoryGroup& sm,
                          std::deque<Mailbox>& mailboxes, Options options)
     : program_(program),
       tubs_(tubs),
-      tub_(tubs.tub(options.group)),
+      tub_(group_tub(tubs, options.group)),
       sm_(sm),
+      map_(sm.shard_map()),
       mailboxes_(mailboxes),
       options_(options) {
-  if (options_.num_groups == 0 || options_.group >= options_.num_groups) {
-    throw core::TFluxError("TsuEmulator: bad group configuration");
+  if (mailboxes_.size() != map_.num_kernels()) {
+    throw core::TFluxError("TsuEmulator: one mailbox per kernel required");
   }
-  if (mailboxes_.empty()) {
-    throw core::TFluxError("TsuEmulator: no kernels");
-  }
-  if (options_.shard_map != nullptr &&
-      (options_.shard_map->num_shards() != options_.num_groups ||
-       options_.shard_map->num_kernels() != mailboxes_.size())) {
-    throw core::TFluxError("TsuEmulator: shard map / group geometry mismatch");
-  }
-  for (core::KernelId k = 0;
-       k < static_cast<core::KernelId>(mailboxes_.size()); ++k) {
-    if (owns_kernel(k)) my_kernels_.push_back(k);
-  }
-  if (my_kernels_.empty()) {
-    throw core::TFluxError(
-        "TsuEmulator: group " + std::to_string(options_.group) +
-        " owns no kernels (more TSU groups than kernels)");
-  }
+  my_kernels_ = map_.kernels(options_.group);
   if (options_.trace) {
     trace_lane_ = options_.trace->emulator_lane(options_.group);
   }
@@ -93,49 +89,9 @@ void TsuEmulator::dispatch(core::ThreadId tid) {
         }
       }
       break;
-    case core::PolicyKind::kAdaptive:
-      // Keep spatial locality while the home backlog is shallow;
-      // beyond the threshold, hand the DThread to the least-loaded
-      // owned kernel (relaxed occupancy reads - a heuristic, so a
-      // stale depth only costs placement, never correctness).
-      if (mailboxes_[home].size() > options_.adaptive_backlog) {
-        std::size_t best = mailboxes_[home].size();
-        for (core::KernelId k : my_kernels_) {
-          const std::size_t depth = mailboxes_[k].size();
-          if (depth < best) {
-            best = depth;
-            target = k;
-          }
-        }
-      }
+    case core::PolicyKind::kHier:
+      if (!spill_backlog(tid, home, target)) return;
       break;
-    case core::PolicyKind::kHier: {
-      // kAdaptive within the shard, then escalate: while the home
-      // backlog is shallow the DThread stays put; overflow tries
-      // sibling kernels of this shard; and only when the whole shard
-      // is backlogged may the dispatch be delegated to a remote shard.
-      if (mailboxes_[home].size() > options_.adaptive_backlog) {
-        std::size_t best = mailboxes_[home].size();
-        for (core::KernelId k : my_kernels_) {
-          const std::size_t depth = mailboxes_[k].size();
-          if (depth < best) {
-            best = depth;
-            target = k;
-          }
-        }
-        if (best > options_.adaptive_backlog && try_delegate(tid, best)) {
-          // Granted away: the receiver dispatches (and counts); the
-          // partition slot is still this group's to account.
-          if (program_.thread(tid).block == my_block_ &&
-              partition_outstanding_ > 0) {
-            --partition_outstanding_;
-            maybe_prefetch();
-          }
-          return;
-        }
-      }
-      break;
-    }
     case core::PolicyKind::kAffinity: {
       // Data-plane placement: put the consumer where the largest share
       // of its input bytes is warm, as long as that kernel is owned
@@ -162,24 +118,7 @@ void TsuEmulator::dispatch(core::ThreadId tid) {
           placed = true;
         }
       }
-      if (!placed && mailboxes_[home].size() > options_.adaptive_backlog) {
-        std::size_t best = mailboxes_[home].size();
-        for (core::KernelId k : my_kernels_) {
-          const std::size_t depth = mailboxes_[k].size();
-          if (depth < best) {
-            best = depth;
-            target = k;
-          }
-        }
-        if (best > options_.adaptive_backlog && try_delegate(tid, best)) {
-          if (program_.thread(tid).block == my_block_ &&
-              partition_outstanding_ > 0) {
-            --partition_outstanding_;
-            maybe_prefetch();
-          }
-          return;
-        }
-      }
+      if (!placed && !spill_backlog(tid, home, target)) return;
       break;
     }
     case core::PolicyKind::kFifo:
@@ -209,7 +148,34 @@ void TsuEmulator::dispatch(core::ThreadId tid) {
                            target);
   }
   mailboxes_[target].put(tid);
+  retire_partition_slot(tid);
+}
 
+bool TsuEmulator::spill_backlog(core::ThreadId tid, core::KernelId home,
+                                core::KernelId& target) {
+  // Stay home while the backlog is shallow; overflow tries sibling
+  // kernels of this group (relaxed occupancy reads - a heuristic, so a
+  // stale depth only costs placement, never correctness); only a
+  // group-wide backlog may be delegated to a remote shard.
+  if (mailboxes_[home].size() <= options_.adaptive_backlog) return true;
+  std::size_t best = mailboxes_[home].size();
+  for (core::KernelId k : my_kernels_) {
+    const std::size_t depth = mailboxes_[k].size();
+    if (depth < best) {
+      best = depth;
+      target = k;
+    }
+  }
+  if (best > options_.adaptive_backlog && try_delegate(tid, best)) {
+    // Granted away: the receiver dispatches (and counts); the
+    // partition slot is still this group's to account.
+    retire_partition_slot(tid);
+    return false;
+  }
+  return true;
+}
+
+void TsuEmulator::retire_partition_slot(core::ThreadId tid) {
   if (program_.thread(tid).block == my_block_ &&
       partition_outstanding_ > 0) {
     --partition_outstanding_;
@@ -222,8 +188,8 @@ bool TsuEmulator::try_delegate(core::ThreadId tid, std::size_t local_best) {
   // round trip), and fault-injection runs keep every dispatch local so
   // the armed victim's early-dispatch/swallow pair stays in one
   // emulator.
-  if (options_.shard_map == nullptr || options_.num_groups <= 1 ||
-      fault_ != nullptr || !program_.thread(tid).is_application()) {
+  if (!map_.clustered() || map_.num_shards() <= 1 || fault_ != nullptr ||
+      !program_.thread(tid).is_application()) {
     return false;
   }
   // Least-loaded remote shard (shallowest mailbox, relaxed reads; ties
@@ -232,12 +198,13 @@ bool TsuEmulator::try_delegate(core::ThreadId tid, std::size_t local_best) {
   // sit in the victim's TUB ring, not its mailboxes, so they are added
   // back explicitly; otherwise a burst keeps seeing a remote shard as
   // idle and delegates its whole backlog.
-  std::uint16_t victim = options_.num_groups;
+  const std::uint16_t groups = map_.num_shards();
+  std::uint16_t victim = groups;
   std::size_t remote_min = local_best;
-  for (std::uint16_t g = 0; g < options_.num_groups; ++g) {
+  for (std::uint16_t g = 0; g < groups; ++g) {
     if (g == options_.group) continue;
     std::size_t g_min = remote_min;
-    for (core::KernelId k : options_.shard_map->kernels(g)) {
+    for (core::KernelId k : map_.kernels(g)) {
       g_min = std::min(g_min, mailboxes_[k].size());
     }
     g_min += tubs_.pending_steal_grants(g);
@@ -246,7 +213,7 @@ bool TsuEmulator::try_delegate(core::ThreadId tid, std::size_t local_best) {
       victim = g;
     }
   }
-  if (victim == options_.num_groups ||
+  if (victim == groups ||
       local_best < remote_min + options_.steal_threshold) {
     return false;
   }
@@ -294,7 +261,7 @@ void TsuEmulator::maybe_prefetch() {
   if (sm_.shadow_block(options_.group) == next) return;  // already staged
   // Low-water mark: at most two dispatches per owned kernel remain.
   if (partition_outstanding_ > 2 * my_kernels_.size()) return;
-  sm_.preload_shadow(next, options_.group, options_.num_groups);
+  sm_.preload_shadow(next, options_.group);
 }
 
 std::size_t TsuEmulator::range_decrement(bool shadow, core::ThreadId lo,
@@ -305,8 +272,7 @@ std::size_t TsuEmulator::range_decrement(bool shadow, core::ThreadId lo,
     // the SM, so a surplus update (e.g. a duplicated publish) trips
     // negative-ready-count instead of underflowing a counter.
     guard_members_.clear();
-    sm_.collect_owned(lo, hi, options_.group, options_.num_groups,
-                      guard_members_);
+    sm_.collect_owned(lo, hi, options_.group, guard_members_);
     guard_ok_.clear();
     for (core::ThreadId m : guard_members_) {
       if (guard_.update_applied(m)) guard_ok_.push_back(m);
@@ -324,10 +290,8 @@ std::size_t TsuEmulator::range_decrement(bool shadow, core::ThreadId lo,
       return guard_ok_.size();
     }
   }
-  return shadow ? sm_.decrement_range_shadow(lo, hi, options_.group,
-                                             options_.num_groups, zeroed_)
-                : sm_.decrement_range(lo, hi, options_.group,
-                                      options_.num_groups, zeroed_);
+  return shadow ? sm_.decrement_range_shadow(lo, hi, options_.group, zeroed_)
+                : sm_.decrement_range(lo, hi, options_.group, zeroed_);
 }
 
 void TsuEmulator::maybe_inject_lost_update(bool shadow, core::ThreadId lo,
@@ -394,7 +358,7 @@ bool TsuEmulator::handle_update(const TubEntry& entry) {
                         : static_cast<core::BlockId>(my_block_ + 1);
   if (block == next && next < program_.num_blocks()) {
     if (sm_.shadow_block(options_.group) != next) {
-      sm_.preload_shadow(next, options_.group, options_.num_groups);
+      sm_.preload_shadow(next, options_.group);
     }
     if (range) {
       zeroed_.clear();
@@ -456,13 +420,12 @@ void TsuEmulator::activate_block(core::BlockId block, bool dispatch_inlet) {
     ++stats_.prefetch_hits;
   } else {
     ++stats_.prefetch_misses;
-    sm_.preload_shadow(block, options_.group, options_.num_groups);
+    sm_.preload_shadow(block, options_.group);
   }
-  sm_.promote_shadow(options_.group, options_.num_groups);
+  sm_.promote_shadow(options_.group);
   my_block_ = block;
   ++stats_.blocks_loaded;
-  partition_outstanding_ =
-      sm_.partition_slots(block, options_.group, options_.num_groups);
+  partition_outstanding_ = sm_.partition_slots(block, options_.group);
   // DThreads already delivered through the shadow path are not
   // outstanding anymore.
   partition_outstanding_ -=
@@ -488,7 +451,7 @@ void TsuEmulator::activate_block(core::BlockId block, bool dispatch_inlet) {
 void TsuEmulator::run() {
   // Stage block 0 before anything executes, so the coordinator's
   // activation (and every other group's first LoadBlock) is a hit.
-  sm_.preload_shadow(0, options_.group, options_.num_groups);
+  sm_.preload_shadow(0, options_.group);
   if (options_.group == 0) {
     // Arm the program: activate block 0 and dispatch its first wave
     // together with the Inlet (which only does accounting - its SM

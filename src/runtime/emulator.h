@@ -7,18 +7,18 @@
 // (spatial locality).
 //
 // Multiple TSU Groups (the section 4.1 extension, software flavor):
-// with G groups, emulator g owns kernels k where k % G == g; the
-// Kernel-side TubGroup routes each command to the owning emulator's
-// TUB, and emulator 0 coordinates block chaining and shutdown.
+// emulator g owns the kernels the run's ShardMap (held by the
+// SyncMemoryGroup) gives group g - the k % G stripe of tsu_groups, or
+// one clustered shard. The Kernel-side TubGroup routes each command to
+// the owning emulator's TUB, and emulator 0 coordinates block chaining
+// and shutdown.
 //
-// Sharded topology (Options::shard_map): ownership follows a
-// clustered ShardMap instead of the modular stripe - each emulator is
-// one shard's scheduling loop - and the kHier policy adds
-// hierarchical stealing on top: overflow dispatch tries sibling
-// kernels in the same shard first, and only a shard-wide backlog
+// kHier dispatch keeps a DThread on its home kernel while that mailbox
+// is shallow and spills overflow to the shallowest sibling kernel of
+// its group. On a clustered map a shard-wide backlog additionally
 // escalates to a kStealGrant handed to the least-loaded remote shard
 // (subject to Options::steal_threshold, so warm-cache home dispatch
-// stays the common case). The receiving emulator dispatches the
+// stays the common case); the receiving emulator dispatches the
 // granted DThread to its shallowest local mailbox.
 //
 // Block pipeline: instead of a synchronous SyncMemoryGroup reload at
@@ -72,7 +72,7 @@ struct alignas(kCacheLine) EmulatorStats {
   /// neither current nor next; rare once the shadow path exists).
   std::uint64_t deferred_replays = 0;
   /// Dispatches routed away from the home kernel by the kLocality /
-  /// kAdaptive policies (kFifo round-robin is not counted).
+  /// kHier / kAffinity policies (kFifo round-robin is not counted).
   std::uint64_t steal_dispatches = 0;
   /// kRangeUpdate records applied (each counts its members into
   /// updates_processed, so unit and coalesced runs reconcile there;
@@ -141,21 +141,16 @@ class TsuEmulator {
     bool thread_indexing = true;
     /// Ready-DThread routing policy within the group.
     core::PolicyKind policy = core::PolicyKind::kLocality;
-    /// This emulator's TSU Group and the total group count.
+    /// This emulator's TSU Group (a shard of the SM's ShardMap).
     std::uint16_t group = 0;
-    std::uint16_t num_groups = 1;
-    /// kAdaptive / kHier: keep a DThread on its home kernel while that
+    /// kHier / kAffinity: keep a DThread on its home kernel while that
     /// mailbox holds at most this many undelivered DThreads; beyond
     /// it, route to the shallowest owned mailbox.
     std::uint32_t adaptive_backlog = 2;
-    /// Topology map replacing the k % num_groups ownership stripe
-    /// (sharded TSU; must outlive the emulator, declare num_groups
-    /// shards, and cover every kernel). Null = legacy interleaving.
-    const core::ShardMap* shard_map = nullptr;
     /// kHier only: minimum depth advantage a remote shard's shallowest
     /// mailbox must have over this shard's before a backlogged
     /// dispatch is delegated there (hysteresis keeping warm-cache home
-    /// dispatch the common case). Ignored without a shard_map.
+    /// dispatch the common case). Ignored unless the map is clustered.
     std::uint32_t steal_threshold = 4;
     /// Managed data plane (must outlive the emulator). Non-null turns
     /// on affinity accounting for every application dispatch (any
@@ -171,9 +166,10 @@ class TsuEmulator {
     FaultPlan* fault = nullptr;
   };
 
-  /// `sm` is shared between emulators (slot ownership is disjoint);
-  /// `mailboxes` covers all kernels (this emulator only touches the
-  /// ones in its group).
+  /// `sm` is shared between emulators (slot ownership is disjoint) and
+  /// its ShardMap decides which kernels this group owns; `mailboxes`
+  /// covers all kernels (this emulator only touches the ones in its
+  /// group).
   TsuEmulator(const core::Program& program, TubGroup& tubs,
               SyncMemoryGroup& sm, std::deque<Mailbox>& mailboxes,
               Options options);
@@ -191,11 +187,19 @@ class TsuEmulator {
 
  private:
   bool owns_kernel(core::KernelId k) const {
-    return options_.shard_map != nullptr
-               ? options_.shard_map->shard_of(k) == options_.group
-               : k % options_.num_groups == options_.group;
+    return map_.shard_of(k) == options_.group;
   }
   void dispatch(core::ThreadId tid);
+  /// kHier / kAffinity overflow ladder: while `home`'s mailbox is
+  /// within adaptive_backlog, leave `target` alone; beyond it, move
+  /// `target` to the shallowest owned mailbox, and when even that one
+  /// is backlogged try to delegate `tid` to a remote shard. Returns
+  /// false when `tid` was delegated (nothing left to dispatch here).
+  bool spill_backlog(core::ThreadId tid, core::KernelId home,
+                     core::KernelId& target);
+  /// A DThread of this group's current block left the partition
+  /// (dispatched or delegated): count it down and maybe prefetch.
+  void retire_partition_slot(core::ThreadId tid);
   /// Data-plane accounting for one application dispatch onto `target`
   /// (no-op without Options::dataplane or for Inlets/Outlets).
   void account_dataplane(core::ThreadId tid, core::KernelId target);
@@ -241,6 +245,7 @@ class TsuEmulator {
   TubGroup& tubs_;
   TubQueue& tub_;  ///< this group's TUB (LaneTub or segmented Tub)
   SyncMemoryGroup& sm_;
+  const core::ShardMap& map_;  ///< sm_'s kernel-to-group ownership
   std::deque<Mailbox>& mailboxes_;
   Options options_;
   std::vector<core::KernelId> my_kernels_;

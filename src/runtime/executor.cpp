@@ -145,23 +145,19 @@ struct Executor::Impl {
     }
     plan = core::make_partition_plan(options.pool_kernels,
                                      options.partition_width);
-    if (options.run.tsu_groups == 0 ||
-        options.run.tsu_groups > options.partition_width) {
-      throw core::TFluxError(
-          "Executor: tsu_groups must be in [1, partition_width]");
-    }
-    if (options.run.shards > options.partition_width) {
-      throw core::TFluxError("Executor: shards must be <= partition_width");
-    }
     if (options.stage_depth == 0) {
       throw core::TFluxError("Executor: stage_depth must be >= 1");
     }
     if (options.queue_capacity == 0) {
       throw core::TFluxError("Executor: queue_capacity must be >= 1");
     }
-    const std::uint16_t groups = options.run.shards >= 1
-                                     ? options.run.shards
-                                     : options.run.tsu_groups;
+    // Every instance's RunFrame resolves the same map; its group count
+    // sizes the partition's emulator roles (and rejects a tsu_groups
+    // or shards count the partition width cannot hold).
+    const std::uint16_t groups =
+        core::ShardMap::resolve(options.partition_width,
+                                options.run.tsu_groups, options.run.shards)
+            .num_shards();
     const std::uint16_t roles =
         static_cast<std::uint16_t>(options.partition_width + groups);
     for (const core::TenantPartition& part : plan) {

@@ -30,7 +30,7 @@ struct alignas(kCacheLine) KernelStats {
   std::uint64_t app_threads_executed = 0;
   std::uint64_t updates_published = 0;
   /// Deepest mailbox backlog observed on take() (the DThread taken
-  /// included) - what the kAdaptive dispatch policy tries to flatten.
+  /// included) - what the kHier dispatch policy tries to flatten.
   std::uint64_t mailbox_backlog_peak = 0;
   /// Data plane only: bulk forwards this kernel's completions
   /// performed (one per coalesced [lo, hi] run) and the payload bytes

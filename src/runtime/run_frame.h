@@ -1,6 +1,6 @@
 // RunFrame: everything one native run owns, assembled in one place.
 //
-// A run at width W is a ShardMap (sharded TSU only), a DataPlane, the
+// A run at width W is a ShardMap (TSU-group ownership), a DataPlane, the
 // double-buffered Synchronization Memory, the TubGroup, one mailbox
 // per kernel, the optional TraceLog and Guard, one TSU Emulator per
 // group and one Kernel per kernel id 0..W-1. Runtime::run() builds a
@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/dataplane.h"
@@ -46,8 +45,8 @@ class RunFrame {
   RunFrame(const RunFrame&) = delete;
   RunFrame& operator=(const RunFrame&) = delete;
 
-  std::uint16_t width() const { return width_; }
-  std::uint16_t groups() const { return groups_; }
+  std::uint16_t width() const { return map_.num_kernels(); }
+  std::uint16_t groups() const { return map_.num_shards(); }
   std::vector<Kernel>& kernels() { return kernels_; }
   std::vector<TsuEmulator>& emulators() { return emulators_; }
   TraceLog* trace_log() { return trace_log_.get(); }
@@ -68,18 +67,12 @@ class RunFrame {
   RuntimeStats stats(double wall_seconds) const;
 
  private:
-  const core::ShardMap* shard_map() const {
-    return shard_map_ ? &*shard_map_ : nullptr;
-  }
-
   const core::Program& program_;
   const RunOptions run_;
-  const std::uint16_t width_;
-  const std::uint16_t groups_;
   core::ExecTrace* const trace_out_;
 
   // Dependency order: later members reference earlier ones.
-  std::optional<core::ShardMap> shard_map_;
+  const core::ShardMap map_;
   std::unique_ptr<core::DataPlane> dataplane_;
   SyncMemoryGroup sm_;
   TubGroup tubs_;

@@ -108,14 +108,10 @@ Runtime::Runtime(const core::Program& program, RuntimeOptions options)
   if (options_.num_kernels == 0) {
     throw core::TFluxError("Runtime: num_kernels must be >= 1");
   }
-  if (options_.run.tsu_groups == 0 ||
-      options_.run.tsu_groups > options_.num_kernels) {
-    throw core::TFluxError(
-        "Runtime: tsu_groups must be in [1, num_kernels]");
-  }
-  if (options_.run.shards > options_.num_kernels) {
-    throw core::TFluxError("Runtime: shards must be <= num_kernels");
-  }
+  // Reject a TSU-group or shard count the kernels cannot hold now,
+  // rather than at the first run().
+  core::ShardMap::resolve(options_.num_kernels, options_.run.tsu_groups,
+                          options_.run.shards);
 }
 
 RuntimeStats Runtime::run() {

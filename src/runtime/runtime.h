@@ -45,18 +45,18 @@ struct RunOptions {
   /// so this is safe on any machine; failures to pin are ignored.
   bool pin_threads = false;
   /// Number of TSU Emulator threads (the section 4.1 multiple-TSU-
-  /// Groups extension, software flavor). Emulator g owns kernels k
-  /// with k % tsu_groups == g; must be <= the run's kernel count.
-  /// Ignored when `shards` selects the sharded topology below.
+  /// Groups extension, software flavor): the run's ownership map is
+  /// core::ShardMap::interleaved(kernels, tsu_groups), so emulator g
+  /// owns kernels k with k % tsu_groups == g. Must be in [1, the run's
+  /// kernel count]. Superseded by `shards` below when that is >= 1.
   std::uint16_t tsu_groups = 1;
-  /// Sharded TSU: 0 (default) keeps the legacy interleaved tsu_groups
-  /// ownership; >= 1 partitions the kernels into that many *clustered*
-  /// shards (contiguous kernel ranges, core::ShardMap), one emulator
-  /// scheduling loop per shard. SM spans, TKT-routed updates, and TUB
-  /// lanes all stay shard-local; range updates are split at shard
-  /// boundaries at publish time. Combine with policy kHier for
-  /// hierarchical stealing across shards. Must be <= the run's kernel
-  /// count.
+  /// Sharded TSU: 0 (default) keeps the interleaved tsu_groups map;
+  /// >= 1 makes the map core::ShardMap::clustered(kernels, shards) -
+  /// contiguous kernel ranges, one emulator scheduling loop per shard,
+  /// one dedicated TUB lane per emulator. SM spans, TKT-routed
+  /// updates, and TUB lanes all stay shard-local. Combine with policy
+  /// kHier for hierarchical stealing across shards. Must be <= the
+  /// run's kernel count.
   std::uint16_t shards = 0;
   /// kHier only: depth advantage a remote shard must offer before a
   /// backlogged dispatch is delegated there (TsuEmulator::Options::
@@ -79,8 +79,9 @@ struct RuntimeOptions {
   std::uint32_t tub_segment_capacity = 256;
   /// Thread Indexing (TKT). Disable only for the ablation study.
   bool thread_indexing = true;
-  /// kAdaptive policy only: home-kernel mailbox depth tolerated
-  /// before a ready DThread is routed to the shallowest mailbox.
+  /// kHier / kAffinity home-backlog slack: home-kernel mailbox depth
+  /// tolerated before a ready DThread spills to the shallowest owned
+  /// mailbox (and kAffinity's tolerated excess over that mailbox).
   std::uint32_t adaptive_backlog = 2;
   /// Execution tracing for the ddmcheck verifier: when set, every
   /// actor records Dispatch/Complete/Update/... events into lock-free

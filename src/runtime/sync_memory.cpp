@@ -8,12 +8,10 @@
 namespace tflux::runtime {
 
 SyncMemoryGroup::SyncMemoryGroup(const core::Program& program,
-                                 std::uint16_t num_kernels)
-    : program_(program), num_kernels_(num_kernels),
+                                 const core::ShardMap& map)
+    : program_(program), map_(map), num_kernels_(map.num_kernels()),
       tkt_(program.num_threads()) {
-  if (num_kernels == 0) {
-    throw core::TFluxError("SyncMemoryGroup: num_kernels must be >= 1");
-  }
+  const std::uint16_t num_kernels = num_kernels_;
   // Pass 1: count each (block, kernel) slice so the arenas can be laid
   // out contiguously (prefix sums), then pass 2 fills them. Placement
   // per slice follows ascending id order: app_threads is ascending by
@@ -77,24 +75,12 @@ SyncMemoryGroup::SyncMemoryGroup(const core::Program& program,
                     {core::kInvalidBlock, core::kInvalidBlock});
 }
 
-void SyncMemoryGroup::set_shard_map(const core::ShardMap* map) {
-  if (map != nullptr && map->num_kernels() != num_kernels_) {
-    throw core::TFluxError(
-        "SyncMemoryGroup::set_shard_map: kernel count mismatch");
-  }
-  shard_map_ = map;
-}
-
 void SyncMemoryGroup::preload_shadow(core::BlockId block,
-                                     std::uint16_t group,
-                                     std::uint16_t groups) {
+                                     std::uint16_t group) {
   if (block >= program_.num_blocks()) {
     throw core::TFluxError("SyncMemoryGroup::preload_shadow: bad block id");
   }
-  if (groups == 0) {
-    throw core::TFluxError("SyncMemoryGroup: groups must be >= 1");
-  }
-  for_each_owned(group, groups, [&](core::KernelId k) {
+  for (core::KernelId k : map_.kernels(group)) {
     const std::uint8_t shadow = cur_gen_[k] ^ 1u;
     const Span& sp = span(block, k);
     std::uint32_t* counts = sm_data_[shadow].data() + sm_off_[k];
@@ -102,16 +88,12 @@ void SyncMemoryGroup::preload_shadow(core::BlockId block,
       counts[s] = program_.thread(tids_[sp.off + s]).ready_count_init;
     }
     gen_block_[k][shadow] = block;
-  });
+  }
 }
 
-void SyncMemoryGroup::promote_shadow(std::uint16_t group,
-                                     std::uint16_t groups) {
-  if (groups == 0) {
-    throw core::TFluxError("SyncMemoryGroup: groups must be >= 1");
-  }
+void SyncMemoryGroup::promote_shadow(std::uint16_t group) {
   assert(shadow_block(group) != core::kInvalidBlock);
-  for_each_owned(group, groups, [&](core::KernelId k) { cur_gen_[k] ^= 1u; });
+  for (core::KernelId k : map_.kernels(group)) cur_gen_[k] ^= 1u;
 }
 
 SyncMemoryGroup::SmSlot SyncMemoryGroup::find_slot(
@@ -155,13 +137,13 @@ bool SyncMemoryGroup::decrement_shadow(core::ThreadId tid, bool use_tkt,
 
 std::size_t SyncMemoryGroup::decrement_range_in(
     bool shadow, core::ThreadId lo, core::ThreadId hi, std::uint16_t group,
-    std::uint16_t groups, std::vector<core::ThreadId>& zeroed) {
+    std::vector<core::ThreadId>& zeroed) {
   assert(lo <= hi);
   // A range never crosses DDM Blocks (consumer runs are same-block by
   // construction), so lo's block locates every member's spans.
   const core::BlockId block = program_.thread(lo).block;
   std::size_t applied = 0;
-  for_each_owned(group, groups, [&](core::KernelId k) {
+  for (core::KernelId k : map_.kernels(group)) {
     const Span& sp = span(block, k);
     const auto first = tids_.begin() + sp.off;
     const auto last = first + sp.len;
@@ -170,7 +152,7 @@ std::size_t SyncMemoryGroup::decrement_range_in(
     // counter slots.
     const auto run_first = std::lower_bound(first, last, lo);
     const auto run_last = std::upper_bound(run_first, last, hi);
-    if (run_first == run_last) return;
+    if (run_first == run_last) continue;
     const std::uint8_t gen = cur_gen_[k] ^ (shadow ? 1u : 0u);
     assert(gen_block_[k][gen] == block);
     std::uint32_t* counts = sm_data_[gen].data() + sm_off_[k] +
@@ -180,36 +162,35 @@ std::size_t SyncMemoryGroup::decrement_range_in(
       if (--*counts == 0) zeroed.push_back(*it);
     }
     applied += static_cast<std::size_t>(run_last - run_first);
-  });
+  }
   return applied;
 }
 
 std::size_t SyncMemoryGroup::decrement_range(
     core::ThreadId lo, core::ThreadId hi, std::uint16_t group,
-    std::uint16_t groups, std::vector<core::ThreadId>& zeroed) {
-  return decrement_range_in(/*shadow=*/false, lo, hi, group, groups, zeroed);
+    std::vector<core::ThreadId>& zeroed) {
+  return decrement_range_in(/*shadow=*/false, lo, hi, group, zeroed);
 }
 
 std::size_t SyncMemoryGroup::decrement_range_shadow(
     core::ThreadId lo, core::ThreadId hi, std::uint16_t group,
-    std::uint16_t groups, std::vector<core::ThreadId>& zeroed) {
-  return decrement_range_in(/*shadow=*/true, lo, hi, group, groups, zeroed);
+    std::vector<core::ThreadId>& zeroed) {
+  return decrement_range_in(/*shadow=*/true, lo, hi, group, zeroed);
 }
 
 void SyncMemoryGroup::collect_owned(core::ThreadId lo, core::ThreadId hi,
                                     std::uint16_t group,
-                                    std::uint16_t groups,
                                     std::vector<core::ThreadId>& out) const {
   assert(lo <= hi);
   const core::BlockId block = program_.thread(lo).block;
-  for_each_owned(group, groups, [&](core::KernelId k) {
+  for (core::KernelId k : map_.kernels(group)) {
     const Span& sp = span(block, k);
     const auto first = tids_.begin() + sp.off;
     const auto last = first + sp.len;
     const auto run_first = std::lower_bound(first, last, lo);
     const auto run_last = std::upper_bound(run_first, last, hi);
     out.insert(out.end(), run_first, run_last);
-  });
+  }
 }
 
 std::uint32_t SyncMemoryGroup::count(core::ThreadId tid) const {
@@ -224,11 +205,9 @@ std::uint32_t SyncMemoryGroup::shadow_count(core::ThreadId tid) const {
 }
 
 std::size_t SyncMemoryGroup::partition_slots(core::BlockId block,
-                                             std::uint16_t group,
-                                             std::uint16_t groups) const {
+                                             std::uint16_t group) const {
   std::size_t n = 0;
-  for_each_owned(group, groups,
-                 [&](core::KernelId k) { n += span(block, k).len; });
+  for (core::KernelId k : map_.kernels(group)) n += span(block, k).len;
   return n;
 }
 

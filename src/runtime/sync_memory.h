@@ -20,10 +20,10 @@
 //
 // Ownership discipline: kernel k's SM slots, generation cursor, and
 // staged-block markers are touched only by the TSU Emulator of the
-// group owning kernel k, so none of it needs locking. Ownership is
-// kernel k -> group k % groups by default; set_shard_map() replaces
-// that striping with a topology ShardMap (clustered core domains) -
-// every partition operation then iterates the map's kernel lists.
+// group owning kernel k, so none of it needs locking. The run's
+// ShardMap decides ownership (interleaved tsu_groups or clustered
+// shards alike): every partition operation iterates the owning group's
+// kernel list.
 #pragma once
 
 #include <array>
@@ -45,27 +45,24 @@ class SyncMemoryGroup {
     std::uint32_t slot = 0;
   };
 
-  SyncMemoryGroup(const core::Program& program, std::uint16_t num_kernels);
+  /// One SM per kernel of `map`, partitioned into its groups. The map
+  /// must outlive this object.
+  SyncMemoryGroup(const core::Program& program, const core::ShardMap& map);
 
-  /// Replace the default interleaved (k % groups) kernel-to-group
-  /// striping with a topology map (sharded TSU). The map must outlive
-  /// this object and cover exactly num_kernels kernels; the `groups`
-  /// argument of every partition call must then equal the map's shard
-  /// count. Call before any partition operation.
-  void set_shard_map(const core::ShardMap* map);
+  /// The kernel-to-group ownership map every partition call follows.
+  const core::ShardMap& shard_map() const { return map_; }
 
   /// Stage `block`'s Ready Counts for `group`'s partition (the SMs of
-  /// the kernels it owns: k % groups, or the shard map's list) in the
-  /// shadow (non-current) generation. What decrement()/count() see is
-  /// untouched until promote_shadow(). Each emulator stages its own
-  /// partition, so a shared SyncMemoryGroup needs no locking (slot
-  /// ownership is disjoint).
-  void preload_shadow(core::BlockId block, std::uint16_t group,
-                      std::uint16_t groups);
+  /// the kernels the map gives it) in the shadow (non-current)
+  /// generation. What decrement()/count() see is untouched until
+  /// promote_shadow(). Each emulator stages its own partition, so a
+  /// shared SyncMemoryGroup needs no locking (slot ownership is
+  /// disjoint).
+  void preload_shadow(core::BlockId block, std::uint16_t group);
 
   /// Make `group`'s shadow generation current (the block-transition
   /// flip). The old current generation becomes the new shadow.
-  void promote_shadow(std::uint16_t group, std::uint16_t groups);
+  void promote_shadow(std::uint16_t group);
 
   /// Block staged in `group`'s shadow generation (kInvalidBlock until
   /// the first preload). After a promote this reports the *retired*
@@ -73,12 +70,12 @@ class SyncMemoryGroup {
   /// kernel's cursor speaks for the whole partition (loads and flips
   /// cover a partition atomically w.r.t. its owner).
   core::BlockId shadow_block(std::uint16_t group) const {
-    const core::KernelId k = first_owned(group);
+    const core::KernelId k = map_.first_kernel(group);
     return gen_block_[k][cur_gen_[k] ^ 1u];
   }
   /// Block live in `group`'s current generation.
   core::BlockId current_block(std::uint16_t group) const {
-    const core::KernelId k = first_owned(group);
+    const core::KernelId k = map_.first_kernel(group);
     return gen_block_[k][cur_gen_[k]];
   }
 
@@ -106,14 +103,14 @@ class SyncMemoryGroup {
   /// the unit-update-equivalent work, so coalesced and unit runs
   /// reconcile their updates_processed totals.
   std::size_t decrement_range(core::ThreadId lo, core::ThreadId hi,
-                              std::uint16_t group, std::uint16_t groups,
+                              std::uint16_t group,
                               std::vector<core::ThreadId>& zeroed);
 
   /// Range variant of decrement_shadow: apply [lo, hi] to `group`'s
   /// partition in the shadow generation (a cross-block range update
   /// arriving before the owning group flipped).
   std::size_t decrement_range_shadow(core::ThreadId lo, core::ThreadId hi,
-                                     std::uint16_t group, std::uint16_t groups,
+                                     std::uint16_t group,
                                      std::vector<core::ThreadId>& zeroed);
 
   /// Append to `out` the members of [lo, hi] homed on kernels of
@@ -122,7 +119,7 @@ class SyncMemoryGroup {
   /// uses this to account a coalesced range member by member on
   /// sampled blocks without duplicating the span walk.
   void collect_owned(core::ThreadId lo, core::ThreadId hi,
-                     std::uint16_t group, std::uint16_t groups,
+                     std::uint16_t group,
                      std::vector<core::ThreadId>& out) const;
 
   /// Current-generation Ready Count of `tid` (must belong to the block
@@ -138,8 +135,8 @@ class SyncMemoryGroup {
   /// Number of `block`'s SM slots (app threads + inlet/outlet) homed
   /// on kernels of `group` - the partition the owning emulator loads
   /// and dispatches.
-  std::size_t partition_slots(core::BlockId block, std::uint16_t group,
-                              std::uint16_t groups) const;
+  std::size_t partition_slots(core::BlockId block,
+                              std::uint16_t group) const;
 
   std::uint16_t num_kernels() const { return num_kernels_; }
 
@@ -150,30 +147,10 @@ class SyncMemoryGroup {
     std::uint32_t len = 0;
   };
 
-  /// Iterate the kernels `group` owns: the shard map's list when one
-  /// is installed, the legacy modular stride otherwise.
-  template <typename Fn>
-  void for_each_owned(std::uint16_t group, std::uint16_t groups,
-                      Fn&& fn) const {
-    if (shard_map_ != nullptr) {
-      for (core::KernelId k : shard_map_->kernels(group)) fn(k);
-    } else {
-      for (std::size_t k = group; k < num_kernels_;
-           k += static_cast<std::size_t>(groups)) {
-        fn(static_cast<core::KernelId>(k));
-      }
-    }
-  }
-  core::KernelId first_owned(std::uint16_t group) const {
-    return shard_map_ != nullptr ? shard_map_->first_kernel(group)
-                                 : static_cast<core::KernelId>(group);
-  }
-
   bool decrement_in(bool shadow, core::ThreadId tid, bool use_tkt,
                     std::uint64_t* search_steps);
   std::size_t decrement_range_in(bool shadow, core::ThreadId lo,
                                  core::ThreadId hi, std::uint16_t group,
-                                 std::uint16_t groups,
                                  std::vector<core::ThreadId>& zeroed);
   SmSlot find_slot(core::ThreadId tid, std::uint64_t* search_steps) const;
   const Span& span(core::BlockId block, core::KernelId kernel) const {
@@ -181,9 +158,8 @@ class SyncMemoryGroup {
   }
 
   const core::Program& program_;
+  const core::ShardMap& map_;
   std::uint16_t num_kernels_ = 0;
-  /// Topology override of the k % groups ownership (null = legacy).
-  const core::ShardMap* shard_map_ = nullptr;
   /// TKT: ThreadId -> SM slot. Built once from the Program, exactly as
   /// the preprocessor would embed it into the binary.
   std::vector<SmSlot> tkt_;

@@ -1,19 +1,10 @@
 #include "runtime/tub_group.h"
 
 #include <algorithm>
-#include <array>
-
-#include "core/error.h"
 
 namespace tflux::runtime {
 
 namespace {
-
-/// Largest shard count the stack-allocated range-trim scratch covers
-/// (the topology model tops out at 128 kernels, so 128 shards is the
-/// hard ceiling); beyond it range updates fall back to untrimmed
-/// broadcast routing.
-constexpr std::uint16_t kMaxTrimShards = 128;
 
 /// Publish `batch` into one TUB in max_batch-sized chunks.
 void publish_chunked(TubQueue& tub, const std::vector<TubEntry>& batch,
@@ -29,21 +20,14 @@ void publish_chunked(TubQueue& tub, const std::vector<TubEntry>& batch,
 
 TubGroup::TubGroup(const core::Program& program, const SyncMemoryGroup& sm,
                    TubGroupOptions options)
-    : program_(program), sm_(sm), shard_map_(options.shard_map) {
-  if (options.num_groups == 0) {
-    throw core::TFluxError("TubGroup: num_groups must be >= 1");
-  }
-  if (shard_map_ != nullptr &&
-      shard_map_->num_shards() != options.num_groups) {
-    throw core::TFluxError("TubGroup: shard map / num_groups mismatch");
-  }
-  pending_grants_ =
-      std::make_unique<std::atomic<std::uint32_t>[]>(options.num_groups);
-  for (std::uint16_t g = 0; g < options.num_groups; ++g) {
+    : program_(program), sm_(sm) {
+  const std::uint16_t groups = sm.shard_map().num_shards();
+  pending_grants_ = std::make_unique<std::atomic<std::uint32_t>[]>(groups);
+  for (std::uint16_t g = 0; g < groups; ++g) {
     pending_grants_[g].store(0, std::memory_order_relaxed);
   }
-  tubs_.reserve(options.num_groups);
-  for (std::uint16_t g = 0; g < options.num_groups; ++g) {
+  tubs_.reserve(groups);
+  for (std::uint16_t g = 0; g < groups; ++g) {
     if (options.lockfree) {
       tubs_.push_back(std::make_unique<LaneTub>(
           std::max(options.num_lanes, 1u), options.lane_capacity));
@@ -56,59 +40,33 @@ TubGroup::TubGroup(const core::Program& program, const SyncMemoryGroup& sm,
 
 std::size_t TubGroup::publish_range_update(core::ThreadId lo,
                                            core::ThreadId hi,
-                                           std::uint32_t hint) {
-  const TubEntry e{TubEntry::Kind::kRangeUpdate, lo, hi};
+                                           std::uint32_t hint,
+                                           PublishScratch& scratch) {
   const std::size_t members = static_cast<std::size_t>(hi) - lo + 1;
   const std::uint16_t groups = num_groups();
   if (groups == 1) {
+    const TubEntry e{TubEntry::Kind::kRangeUpdate, lo, hi};
     tubs_[0]->publish({&e, 1}, hint);
     return members;
   }
-  if (shard_map_ != nullptr && groups <= kMaxTrimShards) {
-    // Sharded TSU: split the record at shard boundaries. Each owning
-    // shard receives [its first member, its last member] - the full
-    // record trimmed to the sub-range that shard's SM sweep can
-    // actually decrement - so no emulator walks counters (or span
-    // bounds) belonging to another shard. With round-robin home
-    // assignment a shard's members need not be contiguous in id, but
-    // the SM applies a range only to owned slots, so trimming to the
-    // outermost members is exact.
-    std::array<core::ThreadId, kMaxTrimShards> first;
-    std::array<core::ThreadId, kMaxTrimShards> last;
-    first.fill(core::kInvalidThread);
-    for (core::ThreadId tid = lo; tid <= hi; ++tid) {
-      const std::uint16_t g = group_of_thread(tid);
-      if (first[g] == core::kInvalidThread) first[g] = tid;
-      last[g] = tid;
-    }
-    for (std::uint16_t g = 0; g < groups; ++g) {
-      if (first[g] == core::kInvalidThread) continue;
-      const TubEntry trimmed{TubEntry::Kind::kRangeUpdate, first[g], last[g]};
-      tubs_[g]->publish({&trimmed, 1}, hint);
-    }
-    return members;
+  // Split the record per owning group: each receives [its first
+  // member, its last member] - the record trimmed to the sub-range its
+  // SM sweep can actually decrement. A group's members need not be
+  // contiguous in id (interleaved groups, round-robin homes), but the
+  // SM applies a range only to owned slots, so trimming to the
+  // outermost members is exact for any map.
+  scratch.first.assign(groups, core::kInvalidThread);
+  scratch.last.resize(groups);
+  for (core::ThreadId tid = lo; tid <= hi; ++tid) {
+    const std::uint16_t g = group_of_thread(tid);
+    if (scratch.first[g] == core::kInvalidThread) scratch.first[g] = tid;
+    scratch.last[g] = tid;
   }
-  if (groups <= 64) {
-    // Single pass over the members: one publish per group that owns at
-    // least one, early-out once every group was seen.
-    std::uint64_t seen = 0;
-    const std::uint64_t all = (groups == 64) ? ~0ull : (1ull << groups) - 1;
-    for (core::ThreadId tid = lo; tid <= hi && seen != all; ++tid) {
-      const std::uint64_t bit = 1ull << group_of_thread(tid);
-      if (seen & bit) continue;
-      seen |= bit;
-      tubs_[group_of_thread(tid)]->publish({&e, 1}, hint);
-    }
-    return members;
-  }
-  // Implausibly many groups: per-group membership scan.
   for (std::uint16_t g = 0; g < groups; ++g) {
-    for (core::ThreadId tid = lo; tid <= hi; ++tid) {
-      if (group_of_thread(tid) == g) {
-        tubs_[g]->publish({&e, 1}, hint);
-        break;
-      }
-    }
+    if (scratch.first[g] == core::kInvalidThread) continue;
+    const TubEntry trimmed{TubEntry::Kind::kRangeUpdate, scratch.first[g],
+                           scratch.last[g]};
+    tubs_[g]->publish({&trimmed, 1}, hint);
   }
   return members;
 }
@@ -161,7 +119,7 @@ std::size_t TubGroup::publish_completion(const core::DThread& t,
           TubEntry{TubEntry::Kind::kUpdate, run.lo});
       ++published;
     } else {
-      published += publish_range_update(run.lo, run.hi, hint);
+      published += publish_range_update(run.lo, run.hi, hint, scratch);
     }
   }
   for (std::uint16_t g = 0; g < num_groups(); ++g) {
@@ -220,7 +178,7 @@ std::size_t TubGroup::publish_updates(
       scratch.per_group[group_of_thread(consumers[i])].push_back(
           TubEntry{TubEntry::Kind::kUpdate, consumers[i]});
     } else {
-      publish_range_update(consumers[i], consumers[j - 1], hint);
+      publish_range_update(consumers[i], consumers[j - 1], hint, scratch);
     }
     i = j;
   }

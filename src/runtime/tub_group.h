@@ -3,17 +3,17 @@
 // With a single TSU Emulator (the paper's TFluxSoft) there is one TUB.
 // The section 4.1 multiple-TSU-Groups extension applies to the
 // software TSU too: G emulator threads each own the Synchronization
-// Memories of the kernels in their group (kernel k belongs to group
-// k % G by default; a ShardMap in TubGroupOptions replaces that with
-// clustered topology shards) and drain their own TUB. The Kernel's
-// Local TSU routes each Ready Count update to the TUB of the group
-// owning the *consumer's* home kernel (a TKT lookup); block-load
-// events broadcast to every group (each initializes its own SM
-// partition); outlet events go to group 0, the block-chaining
-// coordinator. Under a ShardMap a range update is additionally split
-// at shard boundaries at publish time - each owning shard receives
-// the record trimmed to its own first/last member - so every
-// decrement it triggers stays shard-local.
+// Memories of the kernels in their group (the run's ShardMap, held by
+// the SyncMemoryGroup: interleaved tsu_groups or clustered shards) and
+// drain their own TUB. The Kernel's Local TSU routes each Ready Count
+// update to the TUB of the group owning the *consumer's* home kernel
+// (a TKT lookup); block-load events broadcast to every group (each
+// initializes its own SM partition); outlet events go to group 0, the
+// block-chaining coordinator. A range update is split per owning group
+// at publish time - each owner receives the record trimmed to its own
+// first/last member - so each receiving SM sweep is bounded by the
+// group's own members (and, under clustered shards, stays inside one
+// contiguous id range).
 //
 // Each group's TUB is either a LaneTub (per-kernel SPSC lanes, the
 // lock-free default) or a segmented try-lock Tub (the paper-faithful
@@ -36,7 +36,6 @@
 namespace tflux::runtime {
 
 struct TubGroupOptions {
-  std::uint16_t num_groups = 1;
   /// LaneTub (true) vs segmented try-lock Tub (false).
   bool lockfree = true;
   /// Lock-free geometry: one lane per publishing kernel.
@@ -45,10 +44,6 @@ struct TubGroupOptions {
   /// Mutex geometry (paper: segmented to keep try-lock contention low).
   std::uint32_t segments = 8;
   std::uint32_t segment_capacity = 256;
-  /// Topology map replacing the k % num_groups kernel-to-group
-  /// striping (sharded TSU). Must outlive the TubGroup and declare
-  /// exactly num_groups shards. Null = legacy interleaved ownership.
-  const core::ShardMap* shard_map = nullptr;
 };
 
 class TubGroup {
@@ -58,9 +53,14 @@ class TubGroup {
   /// first few DThreads.
   struct PublishScratch {
     std::vector<std::vector<TubEntry>> per_group;
+    /// Range trimming: each group's first and last member of the
+    /// record being split (kInvalidThread = owns none).
+    std::vector<core::ThreadId> first;
+    std::vector<core::ThreadId> last;
   };
 
-  /// `sm` provides the TKT used for routing; it must outlive this.
+  /// One TUB per group of `sm`'s ShardMap; `sm` also provides the TKT
+  /// used for routing. It must outlive this.
   TubGroup(const core::Program& program, const SyncMemoryGroup& sm,
            TubGroupOptions options);
 
@@ -71,9 +71,7 @@ class TubGroup {
 
   /// Group owning a kernel's Synchronization Memory.
   std::uint16_t group_of_kernel(core::KernelId k) const {
-    return shard_map_ != nullptr
-               ? shard_map_->shard_of(k)
-               : static_cast<std::uint16_t>(k % num_groups());
+    return sm_.shard_map().shard_of(k);
   }
   /// Group owning a DThread's Ready Count (via the TKT).
   std::uint16_t group_of_thread(core::ThreadId tid) const {
@@ -101,12 +99,21 @@ class TubGroup {
   /// every consumer in [lo, hi] inclusive (must be one DDM Block; a
   /// DThread's precomputed consumer runs and DDMCPP's range arcs are
   /// such ranges by construction, so loop post-processing needs no
-  /// detection). The record is published to every group owning at
-  /// least one member; each group applies only the slots of kernels it
-  /// owns, so every member is decremented exactly once. Returns the
-  /// number of members (the unit-update-equivalent count).
+  /// detection). Every group owning at least one member receives the
+  /// record trimmed to its own first and last member; it applies only
+  /// the slots of kernels it owns, so every member is decremented
+  /// exactly once. `scratch` is the calling kernel's reusable buffer.
+  /// Returns the number of members (the unit-update-equivalent count).
   std::size_t publish_range_update(core::ThreadId lo, core::ThreadId hi,
-                                   std::uint32_t hint);
+                                   std::uint32_t hint,
+                                   PublishScratch& scratch);
+
+  /// Allocating convenience overload (tests / one-off callers).
+  std::size_t publish_range_update(core::ThreadId lo, core::ThreadId hi,
+                                   std::uint32_t hint) {
+    PublishScratch scratch;
+    return publish_range_update(lo, hi, hint, scratch);
+  }
 
   /// Kernel side: publish a completed DThread's updates. `t`'s
   /// precomputed consumer runs publish one range record per run >= 2
@@ -175,7 +182,7 @@ class TubGroup {
   /// Coordinator side: program finished - every emulator shuts down.
   /// Published on the coordinator's dedicated lane (hint num_kernels:
   /// group 0's emulator lane when the lane space has one, and lane 0
-  /// mod num_lanes in the legacy kernels-only geometry, where no
+  /// mod num_lanes in the interleaved kernels-only geometry, where no
   /// kernel publishes after the final Outlet).
   void broadcast_shutdown() {
     const TubEntry e{TubEntry::Kind::kShutdown, 0};
@@ -190,7 +197,6 @@ class TubGroup {
  private:
   const core::Program& program_;
   const SyncMemoryGroup& sm_;
-  const core::ShardMap* shard_map_ = nullptr;  ///< null = k % groups
   core::Guard* guard_ = nullptr;  ///< null = online checking off
   std::vector<std::unique_ptr<TubQueue>> tubs_;
   /// Per-group in-flight steal grants (atomics are not movable, so the

@@ -2,36 +2,9 @@
 
 #include <sstream>
 
+#include "core/json.h"
+
 namespace tflux::sim {
-namespace {
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-void append_escaped(std::ostringstream& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out << ' ';
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
-}  // namespace
 
 void Trace::add_span(std::uint32_t lane, Cycles begin, Cycles end,
                      std::string name) {
@@ -54,7 +27,7 @@ std::string Trace::to_chrome_json() const {
     first = false;
     out << "{\"ph\":\"M\",\"pid\":1,\"tid\":" << lane
         << ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-    append_escaped(out, lane_names_[lane]);
+    out << core::json_escape(lane_names_[lane]);
     out << "\"}}";
   }
   for (const TraceSpan& s : spans_) {
@@ -62,7 +35,7 @@ std::string Trace::to_chrome_json() const {
     first = false;
     out << "{\"ph\":\"X\",\"pid\":1,\"tid\":" << s.lane << ",\"ts\":"
         << s.begin << ",\"dur\":" << (s.end - s.begin) << ",\"name\":\"";
-    append_escaped(out, s.name);
+    out << core::json_escape(s.name);
     out << "\"}";
   }
   out << "]}";

@@ -9,6 +9,7 @@
 #include "core/ddmtrace.h"
 #include "core/error.h"
 #include "core/graph_io.h"
+#include "core/spec.h"
 
 namespace tflux::tools {
 
@@ -32,18 +33,6 @@ apps::SizeClass parse_size(const std::string& name) {
   if (name == "large") return apps::SizeClass::kLarge;
   throw TFluxError("tflux_check: trace names unknown size '" + name +
                    "' (small, medium, large)");
-}
-
-std::uint64_t parse_uint(const std::string& flag, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    throw TFluxError("tflux_check: " + flag + " expects a number, got '" +
-                     value + "'");
-  }
 }
 
 std::string slurp(const std::string& path, const char* what) {
@@ -94,8 +83,9 @@ CheckCliOptions parse_check_args(const std::vector<std::string>& args) {
     } else if (arg == "--no-races") {
       options.races = false;
     } else if (arg.rfind("--max-findings=", 0) == 0) {
-      options.max_findings = static_cast<std::uint32_t>(
-          parse_uint("--max-findings", value_of("--max-findings=")));
+      core::parse_flag_uint("tflux_check", "--max-findings",
+                            value_of("--max-findings="), /*min_one=*/false,
+                            options.max_findings);
     } else if (arg == "--quiet") {
       options.quiet = true;
     } else if (!arg.empty() && arg[0] == '-') {

@@ -14,6 +14,7 @@
 #include "core/ddmtrace.h"
 #include "core/graph_io.h"
 #include "core/error.h"
+#include "core/json.h"
 #include "core/scheduler.h"
 #include "core/spec.h"
 #include "core/topology.h"
@@ -113,7 +114,7 @@ std::string usage() {
       "pair with\n"
       "                                       --policy=hier for "
       "hierarchical stealing)\n"
-      "  --policy=fifo|locality|adaptive|hier|affinity\n"
+      "  --policy=fifo|locality|hier|affinity\n"
       "                                       ready-thread policy "
       "(affinity routes each\n"
       "                                       consumer to the kernel "
@@ -205,7 +206,7 @@ CliOptions parse_args(const std::vector<std::string>& args) {
       if (!core::parse_policy(value_of("--policy="), options.policy)) {
         throw TFluxError("tflux_run: unknown policy '" +
                          value_of("--policy=") +
-                         "' (fifo, locality, adaptive, hier, affinity)");
+                         "' (fifo, locality, hier, affinity)");
       }
     } else if (arg == "--mutex-runtime") {
       options.lockfree = false;
@@ -408,6 +409,11 @@ int run_cli(const CliOptions& options, std::ostream& out) {
   core::Cycles baseline_cycles = 0;
   bool check_failed = false;
   bool guard_failed = false;
+  // A TSU group beyond the kernel count would own no kernel and receive
+  // no TSU operation, so every platform runs with the groups that can
+  // own one.
+  const std::uint16_t tsu_groups =
+      std::min(options.tsu_groups, options.kernels);
 
   switch (options.platform) {
     case CliPlatform::kReference: {
@@ -429,8 +435,7 @@ int run_cli(const CliOptions& options, std::ostream& out) {
       rt_options.num_kernels = options.kernels;
       rt_options.run.policy = options.policy;
       rt_options.run.lockfree = options.lockfree;
-      rt_options.run.tsu_groups =
-          std::min(options.tsu_groups, options.kernels);
+      rt_options.run.tsu_groups = tsu_groups;
       rt_options.run.shards = options.shards;
       rt_options.run.dataplane = options.dataplane;
       rt_options.guard = options.guard;
@@ -556,7 +561,7 @@ int run_cli(const CliOptions& options, std::ostream& out) {
         const runtime::EmulatorStats& e = st.emulator;
         std::ostringstream json;
         json << "{\n"
-             << "  \"app\": \"" << run.name << "\",\n"
+             << "  \"app\": \"" << core::json_escape(run.name) << "\",\n"
              << "  \"platform\": \"soft\",\n"
              << "  \"kernels\": " << options.kernels << ",\n"
              << "  \"tsu_groups\": " << rt_options.run.tsu_groups << ",\n"
@@ -695,7 +700,7 @@ int run_cli(const CliOptions& options, std::ostream& out) {
                     ? machine::x86_hard(options.kernels)
                     : machine::xeon_soft(options.kernels);
       cfg.policy = options.policy;
-      cfg.tsu.num_groups = options.tsu_groups;
+      cfg.tsu.num_groups = tsu_groups;
       cfg.dataplane = options.dataplane;
       if (options.shards != 0) cfg.topology.shards = options.shards;
       machine::Machine m(cfg, run.program, validate);

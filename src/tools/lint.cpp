@@ -1,12 +1,14 @@
 #include "tools/lint.h"
 
 #include <cctype>
-#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "core/error.h"
 #include "core/graph_io.h"
+#include "core/json.h"
+#include "core/spec.h"
 
 namespace tflux::tools {
 
@@ -30,49 +32,6 @@ apps::SizeClass parse_size(const std::string& name) {
   if (name == "large") return apps::SizeClass::kLarge;
   throw TFluxError("tflux_lint: unknown size '" + name +
                    "' (small, medium, large)");
-}
-
-std::uint64_t parse_uint(const std::string& flag, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    throw TFluxError("tflux_lint: " + flag + " expects a number, got '" +
-                     value + "'");
-  }
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (char ch : text) {
-    switch (ch) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -161,6 +120,12 @@ LintOptions parse_lint_args(const std::vector<std::string>& args) {
     auto value_of = [&arg](const char* prefix) {
       return arg.substr(std::string(prefix).size());
     };
+    // `--flag=N` into `field`, bounded by the field's type.
+    auto uint_flag = [&arg](const char* flag, bool min_one, auto& field) {
+      core::parse_flag_uint("tflux_lint", flag,
+                            arg.substr(std::strlen(flag) + 1), min_one,
+                            field);
+    };
     if (arg == "--help" || arg == "-h") {
       options.help = true;
     } else if (arg.rfind("--app=", 0) == 0) {
@@ -172,44 +137,34 @@ LintOptions parse_lint_args(const std::vector<std::string>& args) {
     } else if (arg.rfind("--size=", 0) == 0) {
       options.size = parse_size(value_of("--size="));
     } else if (arg.rfind("--kernels=", 0) == 0) {
-      options.kernels = static_cast<std::uint16_t>(
-          parse_uint("--kernels", value_of("--kernels=")));
-      if (options.kernels == 0) {
-        throw TFluxError("tflux_lint: --kernels must be >= 1");
-      }
+      uint_flag("--kernels", /*min_one=*/true, options.kernels);
     } else if (arg.rfind("--unroll=", 0) == 0) {
-      options.unroll = static_cast<std::uint32_t>(
-          parse_uint("--unroll", value_of("--unroll=")));
-      if (options.unroll == 0) {
-        throw TFluxError("tflux_lint: --unroll must be >= 1");
-      }
+      uint_flag("--unroll", /*min_one=*/true, options.unroll);
     } else if (arg.rfind("--tsu-capacity=", 0) == 0) {
-      options.tsu_capacity = static_cast<std::uint32_t>(
-          parse_uint("--tsu-capacity", value_of("--tsu-capacity=")));
+      uint_flag("--tsu-capacity", /*min_one=*/false, options.tsu_capacity);
     } else if (arg.rfind("--lane-capacity=", 0) == 0) {
-      options.tub_lane_capacity = static_cast<std::uint32_t>(
-          parse_uint("--lane-capacity", value_of("--lane-capacity=")));
+      uint_flag("--lane-capacity", /*min_one=*/false,
+                options.tub_lane_capacity);
     } else if (arg.rfind("--min-block-threads=", 0) == 0) {
-      options.min_block_threads = static_cast<std::uint32_t>(parse_uint(
-          "--min-block-threads", value_of("--min-block-threads=")));
+      uint_flag("--min-block-threads", /*min_one=*/false,
+                options.min_block_threads);
     } else if (arg.rfind("--coalescable-arcs=", 0) == 0) {
-      options.coalescable_arcs = static_cast<std::uint32_t>(parse_uint(
-          "--coalescable-arcs", value_of("--coalescable-arcs=")));
+      uint_flag("--coalescable-arcs", /*min_one=*/false,
+                options.coalescable_arcs);
     } else if (arg.rfind("--guard-hotspots=", 0) == 0) {
-      options.guard_hotspots = static_cast<std::uint32_t>(parse_uint(
-          "--guard-hotspots", value_of("--guard-hotspots=")));
+      uint_flag("--guard-hotspots", /*min_one=*/false,
+                options.guard_hotspots);
     } else if (arg.rfind("--shards=", 0) == 0) {
-      options.shards = static_cast<std::uint16_t>(
-          parse_uint("--shards", value_of("--shards=")));
+      uint_flag("--shards", /*min_one=*/false, options.shards);
     } else if (arg.rfind("--shard-imbalance=", 0) == 0) {
-      options.shard_imbalance = static_cast<std::uint32_t>(parse_uint(
-          "--shard-imbalance", value_of("--shard-imbalance=")));
+      uint_flag("--shard-imbalance", /*min_one=*/false,
+                options.shard_imbalance);
     } else if (arg.rfind("--affinity-split=", 0) == 0) {
-      options.affinity_split = static_cast<std::uint32_t>(parse_uint(
-          "--affinity-split", value_of("--affinity-split=")));
+      uint_flag("--affinity-split", /*min_one=*/false,
+                options.affinity_split);
     } else if (arg.rfind("--tenant-capacity=", 0) == 0) {
-      options.tenant_capacity = static_cast<std::uint16_t>(parse_uint(
-          "--tenant-capacity", value_of("--tenant-capacity=")));
+      uint_flag("--tenant-capacity", /*min_one=*/false,
+                options.tenant_capacity);
     } else if (arg == "--dead-footprint") {
       options.dead_footprint = true;
     } else if (arg.rfind("--json=", 0) == 0) {
@@ -271,7 +226,7 @@ core::VerifyReport lint_program(const core::Program& program,
 std::string lint_report_json(const core::Program& program,
                              const core::VerifyReport& report) {
   std::ostringstream json;
-  json << "{\"program\": \"" << json_escape(program.name())
+  json << "{\"program\": \"" << core::json_escape(program.name())
        << "\", \"errors\": " << report.num_errors
        << ", \"warnings\": " << report.num_warnings
        << ", \"diagnostics\": [";
@@ -299,7 +254,7 @@ std::string lint_report_json(const core::Program& program,
     } else {
       json << d.block;
     }
-    json << ", \"message\": \"" << json_escape(d.message) << "\"}";
+    json << ", \"message\": \"" << core::json_escape(d.message) << "\"}";
   }
   json << "]}";
   return json.str();

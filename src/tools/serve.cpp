@@ -14,6 +14,7 @@
 #include "core/ddmtrace.h"
 #include "core/error.h"
 #include "core/executor.h"
+#include "core/json.h"
 #include "core/spec.h"
 #include "runtime/executor.h"
 #include "runtime/runtime.h"
@@ -75,7 +76,7 @@ std::string json_app_list(const std::vector<apps::AppKind>& kinds) {
   for (std::size_t i = 0; i < kinds.size(); ++i) {
     std::string name = apps::to_string(kinds[i]);
     for (char& c : name) c = static_cast<char>(std::tolower(c));
-    out << (i == 0 ? "" : ", ") << "\"" << name << "\"";
+    out << (i == 0 ? "" : ", ") << "\"" << core::json_escape(name) << "\"";
   }
   out << "]";
   return out.str();
@@ -105,7 +106,7 @@ std::string serve_usage() {
       "  --size=small|medium|large            (default small)\n"
       "  --unroll=N            loop unroll factor (default 4)\n"
       "  --tsu-capacity=N      DThreads per DDM block (default 64)\n"
-      "  --policy=fifo|locality|adaptive|hier|affinity\n"
+      "  --policy=fifo|locality|hier|affinity\n"
       "  --guard=off|sampled[:N]|full\n"
       "                        per-instance ddmguard on every admitted "
       "run\n"
@@ -177,7 +178,7 @@ ServeOptions parse_serve_args(const std::vector<std::string>& args) {
       if (!core::parse_policy(value_of("--policy="), options.policy)) {
         throw TFluxError("tflux_serve: unknown policy '" +
                          value_of("--policy=") +
-                         "' (fifo, locality, adaptive, hier, affinity)");
+                         "' (fifo, locality, hier, affinity)");
       }
     } else if (arg.rfind("--guard=", 0) == 0) {
       if (!core::parse_guard_spec(value_of("--guard="), options.guard)) {
@@ -534,7 +535,7 @@ int run_serve(const ServeOptions& options, std::ostream& out,
          << "  \"size\": \"" << [&] {
               std::string s = apps::to_string(options.size);
               for (char& c : s) c = static_cast<char>(std::tolower(c));
-              return s;
+              return core::json_escape(s);
             }() << "\",\n"
          << "  \"unroll\": " << options.unroll << ",\n"
          << "  \"guard\": \"" << core::to_string(options.guard.mode)

@@ -92,6 +92,8 @@ bool has(const CheckReport& report, CheckDiag code) {
 
 TEST(DdmTraceTest, SaveLoadRoundTrip) {
   ExecTrace t = diamond_trace();
+  // The policy clause is carried, not interpreted: a trace recorded
+  // under the retired adaptive policy still loads.
   t.policy = "adaptive";
   t.lockfree = false;
   t.app = "trapez";

@@ -21,9 +21,9 @@ void noop(const core::ExecContext&) {}
 /// Make `block` current for `group`'s partition: stage it in the
 /// shadow generation and flip.
 void activate(runtime::SyncMemoryGroup& sm, core::BlockId block,
-              std::uint16_t group, std::uint16_t groups) {
-  sm.preload_shadow(block, group, groups);
-  sm.promote_shadow(group, groups);
+              std::uint16_t group) {
+  sm.preload_shadow(block, group);
+  sm.promote_shadow(group);
 }
 
 // --- SyncMemoryGroup range primitives ---------------------------------
@@ -42,14 +42,15 @@ TEST(SyncMemoryRangeTest, RangeSweepsOnlyTheOwnedPartition) {
   const core::Program program =
       b.build(core::BuildOptions{.num_kernels = 2});
 
-  runtime::SyncMemoryGroup sm(program, 2);
-  activate(sm, blk, /*group=*/0, /*groups=*/2);
-  activate(sm, blk, /*group=*/1, /*groups=*/2);
+  const core::ShardMap map = core::ShardMap::interleaved(2, 2);
+  runtime::SyncMemoryGroup sm(program, map);
+  activate(sm, blk, /*group=*/0);
+  activate(sm, blk, /*group=*/1);
 
   std::vector<core::ThreadId> zeroed;
   const std::size_t n0 = sm.decrement_range(consumers.front(),
                                             consumers.back(), /*group=*/0,
-                                            /*groups=*/2, zeroed);
+                                            zeroed);
   // Group 0 owns kernel 0: consumers 0, 2, 4 of the run.
   EXPECT_EQ(n0, 3u);
   EXPECT_EQ(zeroed, (std::vector<core::ThreadId>{
@@ -61,7 +62,7 @@ TEST(SyncMemoryRangeTest, RangeSweepsOnlyTheOwnedPartition) {
   zeroed.clear();
   const std::size_t n1 = sm.decrement_range(consumers.front(),
                                             consumers.back(), /*group=*/1,
-                                            /*groups=*/2, zeroed);
+                                            zeroed);
   EXPECT_EQ(n1, 3u);
   EXPECT_EQ(n0 + n1, consumers.size());
   for (core::ThreadId c : consumers) EXPECT_EQ(sm.count(c), 0u);
@@ -79,10 +80,11 @@ TEST(SyncMemoryRangeTest, SubrangeLeavesNeighborsUntouched) {
   const core::Program program =
       b.build(core::BuildOptions{.num_kernels = 1});
 
-  runtime::SyncMemoryGroup sm(program, 1);
-  activate(sm, blk, 0, 1);
+  const core::ShardMap map = core::ShardMap::interleaved(1, 1);
+  runtime::SyncMemoryGroup sm(program, map);
+  activate(sm, blk, 0);
   std::vector<core::ThreadId> zeroed;
-  EXPECT_EQ(sm.decrement_range(consumers[1], consumers[3], 0, 1, zeroed),
+  EXPECT_EQ(sm.decrement_range(consumers[1], consumers[3], 0, zeroed),
             3u);
   EXPECT_EQ(sm.count(consumers[0]), 1u);
   EXPECT_EQ(sm.count(consumers[2]), 0u);
@@ -103,21 +105,22 @@ TEST(SyncMemoryRangeTest, ShadowRangeStaysInShadowUntilPromoted) {
   const core::Program program =
       b.build(core::BuildOptions{.num_kernels = 1});
 
-  runtime::SyncMemoryGroup sm(program, 1);
-  activate(sm, b0, 0, 1);
-  sm.preload_shadow(b1, /*group=*/0, /*groups=*/1);
+  const core::ShardMap map = core::ShardMap::interleaved(1, 1);
+  runtime::SyncMemoryGroup sm(program, map);
+  activate(sm, b0, 0);
+  sm.preload_shadow(b1, /*group=*/0);
   ASSERT_EQ(sm.shadow_block(0), b1);
 
   std::vector<core::ThreadId> zeroed;
   EXPECT_EQ(sm.decrement_range_shadow(consumers.front(), consumers.back(),
-                                      0, 1, zeroed),
+                                      0, zeroed),
             consumers.size());
   EXPECT_EQ(zeroed.size(), consumers.size());
   for (core::ThreadId c : consumers) EXPECT_EQ(sm.shadow_count(c), 0u);
   // The current generation still holds block 0.
   EXPECT_EQ(sm.current_block(0), b0);
 
-  sm.promote_shadow(/*group=*/0, /*groups=*/1);
+  sm.promote_shadow(/*group=*/0);
   EXPECT_EQ(sm.current_block(0), b1);
   for (core::ThreadId c : consumers) EXPECT_EQ(sm.count(c), 0u);
 }

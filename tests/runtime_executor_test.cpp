@@ -23,6 +23,7 @@
 #include <future>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "apps/suite.h"
@@ -252,6 +253,17 @@ TEST(ResidentExecutor, AdmissionErrors) {
   const RunResult result = executor.submit(pinned).get();
   EXPECT_EQ(result.tenant, 1);
   EXPECT_TRUE(narrow->validate());
+
+  // TSU geometry a width-2 partition cannot hold is rejected up front:
+  // no TSU group, more groups than kernels, more shards than kernels.
+  for (const auto& [groups, shards] :
+       {std::pair<std::uint16_t, std::uint16_t>{0, 0}, {3, 0}, {1, 3}}) {
+    ExecutorOptions geometry = options;
+    geometry.run.tsu_groups = groups;
+    geometry.run.shards = shards;
+    EXPECT_THROW(Executor(registry, geometry), core::TFluxError)
+        << groups << " groups, " << shards << " shards";
+  }
 }
 
 TEST(ResidentExecutor, DestructorDrainsOutstandingWork) {

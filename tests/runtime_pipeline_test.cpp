@@ -1,6 +1,8 @@
 // Pipelined block transitions (shadow SM generation, flip at
-// OutletDone, coordinator fast activation) under the kAdaptive
-// occupancy-aware dispatch policy: placement changes, the executed
+// OutletDone, coordinator fast activation) under kHier, the
+// backlog-adaptive dispatch policy (home while the mailbox is shallow,
+// else the shallowest sibling kernel; the "Adaptive" test names refer
+// to that): placement changes, the executed
 // set must not - same app results, same thread counts, same updates -
 // on every shipped application, at several kernel and TSU-group
 // counts. Also covers the deferred-update replay path.
@@ -14,6 +16,7 @@
 
 #include "apps/suite.h"
 #include "core/builder.h"
+#include "core/error.h"
 #include "core/scheduler.h"
 #include "runtime/emulator.h"
 #include "runtime/mailbox.h"
@@ -73,19 +76,19 @@ class BlockPipelineTest : public ::testing::TestWithParam<Config> {};
 TEST_P(BlockPipelineTest, AdaptivePolicyMatchesLocalityAccounting) {
   const auto [kind, kernels, groups] = GetParam();
   if (groups > kernels) GTEST_SKIP() << "more groups than kernels";
-  const ModeResult adaptive =
-      run_mode(kind, kernels, groups, core::PolicyKind::kAdaptive);
+  const ModeResult hier =
+      run_mode(kind, kernels, groups, core::PolicyKind::kHier);
   const ModeResult locality =
       run_mode(kind, kernels, groups, core::PolicyKind::kLocality);
-  EXPECT_TRUE(adaptive.valid) << "adaptive run produced wrong results";
+  EXPECT_TRUE(hier.valid) << "hier run produced wrong results";
   EXPECT_TRUE(locality.valid) << "locality run produced wrong results";
-  EXPECT_EQ(adaptive.app_threads, locality.app_threads);
-  EXPECT_EQ(adaptive.threads_executed, locality.threads_executed);
-  EXPECT_EQ(adaptive.updates_processed, locality.updates_processed);
-  EXPECT_EQ(adaptive.blocks_loaded, locality.blocks_loaded);
+  EXPECT_EQ(hier.app_threads, locality.app_threads);
+  EXPECT_EQ(hier.threads_executed, locality.threads_executed);
+  EXPECT_EQ(hier.updates_processed, locality.updates_processed);
+  EXPECT_EQ(hier.blocks_loaded, locality.blocks_loaded);
   // Every activation is either a prefetch hit or a miss.
-  EXPECT_EQ(adaptive.prefetch_hits + adaptive.prefetch_misses,
-            adaptive.blocks_loaded);
+  EXPECT_EQ(hier.prefetch_hits + hier.prefetch_misses,
+            hier.blocks_loaded);
   EXPECT_EQ(locality.prefetch_hits + locality.prefetch_misses,
             locality.blocks_loaded);
 }
@@ -103,16 +106,15 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BlockPipelineAdaptiveTest, MatchesReferenceSchedulerThreadCount) {
   // The single-threaded oracle executes the same DThread set the
-  // native runtime dispatches under kAdaptive (where ReadySet
-  // degenerates to backlog-driven locality).
+  // native runtime dispatches under kHier (where ReadySet, without a
+  // shard map, degenerates to locality).
   DdmParams params;
   params.num_kernels = 4;
   params.unroll = 8;
   params.tsu_capacity = 64;
   AppRun run = apps::build_app(AppKind::kTrapez, SizeClass::kSmall,
                                Platform::kSimulated, params);
-  core::ReferenceScheduler sched(run.program, 4,
-                                 core::PolicyKind::kAdaptive);
+  core::ReferenceScheduler sched(run.program, 4, core::PolicyKind::kHier);
   const core::ScheduleResult oracle = sched.run();
   ASSERT_TRUE(run.validate());
 
@@ -120,7 +122,7 @@ TEST(BlockPipelineAdaptiveTest, MatchesReferenceSchedulerThreadCount) {
                                   Platform::kSimulated, params);
   RuntimeOptions options;
   options.num_kernels = 4;
-  options.run.policy = core::PolicyKind::kAdaptive;
+  options.run.policy = core::PolicyKind::kHier;
   const RuntimeStats st = Runtime(native.program, options).run();
   EXPECT_TRUE(native.validate());
   std::uint64_t executed = 0;
@@ -144,10 +146,10 @@ TEST(DeferredReplayTest, UpdateAheadOfActivationIsDeferredThenReplayed) {
   b.add_arc(y, x);  // x has Ready Count 1
   const core::Program program = b.build(core::BuildOptions{.num_kernels = 2});
 
-  SyncMemoryGroup sm(program, 2);
+  const core::ShardMap map = core::ShardMap::interleaved(2, 2);
+  SyncMemoryGroup sm(program, map);
   TubGroup tubs(program, sm,
-                TubGroupOptions{.num_groups = 2,
-                                .lockfree = true,
+                TubGroupOptions{.lockfree = true,
                                 .num_lanes = 2,
                                 .lane_capacity = 64});
   std::deque<Mailbox> mailboxes;
@@ -162,7 +164,7 @@ TEST(DeferredReplayTest, UpdateAheadOfActivationIsDeferredThenReplayed) {
   tubs.broadcast_shutdown();
 
   TsuEmulator emu(program, tubs, sm, mailboxes,
-                  TsuEmulator::Options{.group = 1, .num_groups = 2});
+                  TsuEmulator::Options{.group = 1});
   std::thread t([&emu] { emu.run(); });
   t.join();
 
@@ -176,8 +178,23 @@ TEST(DeferredReplayTest, UpdateAheadOfActivationIsDeferredThenReplayed) {
   EXPECT_EQ(mailboxes[1].take(), core::kInvalidThread);
 }
 
+TEST(TsuEmulatorTest, GroupOutsideTheMapRejected) {
+  core::ProgramBuilder b("groups");
+  b.add_thread(b.add_block(), "t", {}, {}, /*home=*/0);
+  const core::Program program = b.build(core::BuildOptions{.num_kernels = 2});
+  const core::ShardMap map = core::ShardMap::interleaved(2, 2);
+  SyncMemoryGroup sm(program, map);
+  TubGroup tubs(program, sm, TubGroupOptions{.num_lanes = 2});
+  std::deque<Mailbox> mailboxes;
+  mailboxes.emplace_back(true, 64);
+  mailboxes.emplace_back(true, 64);
+  EXPECT_THROW(TsuEmulator(program, tubs, sm, mailboxes,
+                           TsuEmulator::Options{.group = 2}),
+               core::TFluxError);
+}
+
 TEST(DeferredReplayTest, AdaptiveMultiBlockRunsAccountDeferredReplays) {
-  // The live deferred path: kAdaptive routing across 2 TSU Groups over
+  // The live deferred path: kHier routing across 2 TSU Groups over
   // a program with more than two DDM Blocks. Deferred replays are
   // schedule-dependent (usually zero with the shadow generation in
   // front), but whatever raced ahead must be replayed - never lost -
@@ -196,7 +213,7 @@ TEST(DeferredReplayTest, AdaptiveMultiBlockRunsAccountDeferredReplays) {
     if (t.is_application()) arcs += t.consumers.size();
   }
   const ModeResult run =
-      run_mode(AppKind::kTrapez, 4, 2, core::PolicyKind::kAdaptive);
+      run_mode(AppKind::kTrapez, 4, 2, core::PolicyKind::kHier);
   EXPECT_TRUE(run.valid);
   EXPECT_EQ(run.app_threads, probe.program.num_app_threads());
   EXPECT_EQ(run.updates_processed, arcs);

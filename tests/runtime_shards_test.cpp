@@ -73,49 +73,50 @@ TEST(ShardMapTest, InterleavedMatchesModulo) {
 
 TEST(ShardRangeTrimTest, RangeRecordsAreTrimmedPerShard) {
   // 8 consecutive same-block consumers homed round-robin on 4 kernels,
-  // clustered into 2 shards {0,1} {2,3}: the range [0,7] must reach
-  // each shard trimmed to its own first/last member, and the members
-  // of the two trimmed records must tile [0,7] exactly.
+  // split into 2 groups - clustered shards {0,1} {2,3}, or the
+  // interleaved tsu_groups stripe {0,2} {1,3}: the range [0,7] must
+  // reach each group trimmed to its own first/last member, and the
+  // members of the two trimmed records must tile [0,7] exactly.
   apps::DdmParams params;
   params.num_kernels = 4;
   params.unroll = 1;
   apps::AppRun app =
       apps::build_app(apps::AppKind::kTrapez, apps::SizeClass::kSmall,
                       apps::Platform::kNative, params);
-  const core::ShardMap map = core::ShardMap::clustered(4, 2);
-  runtime::SyncMemoryGroup sm(app.program, 4);
-  sm.set_shard_map(&map);
-  runtime::TubGroup tubs(app.program, sm,
-                         runtime::TubGroupOptions{.num_groups = 2,
-                                                  .num_lanes = 6,
-                                                  .shard_map = &map});
+  for (const core::ShardMap& map : {core::ShardMap::clustered(4, 2),
+                                    core::ShardMap::interleaved(4, 2)}) {
+    SCOPED_TRACE(core::to_string(map.kind()));
+    runtime::SyncMemoryGroup sm(app.program, map);
+    runtime::TubGroup tubs(app.program, sm,
+                           runtime::TubGroupOptions{.num_lanes = 6});
 
-  // Pick a run of 8 consecutive application DThreads in one block.
-  core::ThreadId lo = 0;
-  const core::ThreadId hi = lo + 7;
-  ASSERT_EQ(app.program.thread(lo).block, app.program.thread(hi).block);
-  const std::size_t members = tubs.publish_range_update(lo, hi, 0);
-  EXPECT_EQ(members, 8u);
+    // Pick a run of 8 consecutive application DThreads in one block.
+    core::ThreadId lo = 0;
+    const core::ThreadId hi = lo + 7;
+    ASSERT_EQ(app.program.thread(lo).block, app.program.thread(hi).block);
+    const std::size_t members = tubs.publish_range_update(lo, hi, 0);
+    EXPECT_EQ(members, 8u);
 
-  std::uint64_t members_seen = 0;
-  for (std::uint16_t g = 0; g < 2; ++g) {
-    std::vector<runtime::TubEntry> drained;
-    tubs.tub(g).drain(drained);
-    ASSERT_EQ(drained.size(), 1u) << "shard " << g;
-    const runtime::TubEntry& e = drained.front();
-    EXPECT_EQ(e.kind, runtime::TubEntry::Kind::kRangeUpdate);
-    EXPECT_GE(e.id, lo);
-    EXPECT_LE(e.hi, hi);
-    // Boundary members belong to the receiving shard.
-    EXPECT_EQ(tubs.group_of_thread(static_cast<core::ThreadId>(e.id)), g);
-    EXPECT_EQ(tubs.group_of_thread(static_cast<core::ThreadId>(e.hi)), g);
-    for (core::ThreadId t = static_cast<core::ThreadId>(e.id);
-         t <= static_cast<core::ThreadId>(e.hi); ++t) {
-      if (tubs.group_of_thread(t) == g) ++members_seen;
+    std::uint64_t members_seen = 0;
+    for (std::uint16_t g = 0; g < 2; ++g) {
+      std::vector<runtime::TubEntry> drained;
+      tubs.tub(g).drain(drained);
+      ASSERT_EQ(drained.size(), 1u) << "shard " << g;
+      const runtime::TubEntry& e = drained.front();
+      EXPECT_EQ(e.kind, runtime::TubEntry::Kind::kRangeUpdate);
+      EXPECT_GE(e.id, lo);
+      EXPECT_LE(e.hi, hi);
+      // Boundary members belong to the receiving shard.
+      EXPECT_EQ(tubs.group_of_thread(static_cast<core::ThreadId>(e.id)), g);
+      EXPECT_EQ(tubs.group_of_thread(static_cast<core::ThreadId>(e.hi)), g);
+      for (core::ThreadId t = static_cast<core::ThreadId>(e.id);
+           t <= static_cast<core::ThreadId>(e.hi); ++t) {
+        if (tubs.group_of_thread(t) == g) ++members_seen;
+      }
     }
+    // Every member of [lo, hi] is owned by exactly one trimmed record.
+    EXPECT_EQ(members_seen, 8u);
   }
-  // Every member of [lo, hi] is owned by exactly one trimmed record.
-  EXPECT_EQ(members_seen, 8u);
 }
 
 // ---------------------------------------------------------------------------

@@ -16,11 +16,14 @@ using core::Program;
 using core::ProgramBuilder;
 using core::ThreadId;
 
+/// Two kernels, one TSU group owning both.
+const core::ShardMap kOneGroup = core::ShardMap::interleaved(2, 1);
+
 /// Make `block` current for every kernel: stage it in the shadow
 /// generation and flip (one group owns them all).
 void load(SyncMemoryGroup& sm, BlockId block) {
-  sm.preload_shadow(block, /*group=*/0, /*groups=*/1);
-  sm.promote_shadow(/*group=*/0, /*groups=*/1);
+  sm.preload_shadow(block, /*group=*/0);
+  sm.promote_shadow(/*group=*/0);
 }
 
 Program two_block_program(ThreadId ids[6]) {
@@ -46,7 +49,7 @@ Program two_block_program(ThreadId ids[6]) {
 TEST(SyncMemoryTest, TktPlacesThreadsOnHomeKernels) {
   ThreadId ids[6];
   Program p = two_block_program(ids);
-  SyncMemoryGroup sm(p, 2);
+  SyncMemoryGroup sm(p, kOneGroup);
 
   EXPECT_EQ(sm.tkt(ids[0]).kernel, 0u);
   EXPECT_EQ(sm.tkt(ids[1]).kernel, 1u);
@@ -62,7 +65,7 @@ TEST(SyncMemoryTest, TktPlacesThreadsOnHomeKernels) {
 TEST(SyncMemoryTest, LoadBlockInitializesReadyCounts) {
   ThreadId ids[6];
   Program p = two_block_program(ids);
-  SyncMemoryGroup sm(p, 2);
+  SyncMemoryGroup sm(p, kOneGroup);
 
   load(sm, 0);
   EXPECT_EQ(sm.current_block(0), 0u);
@@ -76,7 +79,7 @@ TEST(SyncMemoryTest, LoadBlockInitializesReadyCounts) {
 TEST(SyncMemoryTest, DecrementWithTktReachesZeroExactlyOnce) {
   ThreadId ids[6];
   Program p = two_block_program(ids);
-  SyncMemoryGroup sm(p, 2);
+  SyncMemoryGroup sm(p, kOneGroup);
   load(sm, 0);
 
   EXPECT_FALSE(sm.decrement(ids[2], /*use_tkt=*/true));
@@ -88,8 +91,8 @@ TEST(SyncMemoryTest, DecrementWithTktReachesZeroExactlyOnce) {
 TEST(SyncMemoryTest, SequentialSearchMatchesTktAndCountsSteps) {
   ThreadId ids[6];
   Program p = two_block_program(ids);
-  SyncMemoryGroup sm_tkt(p, 2);
-  SyncMemoryGroup sm_scan(p, 2);
+  SyncMemoryGroup sm_tkt(p, kOneGroup);
+  SyncMemoryGroup sm_scan(p, kOneGroup);
   load(sm_tkt, 0);
   load(sm_scan, 0);
 
@@ -103,7 +106,7 @@ TEST(SyncMemoryTest, SequentialSearchMatchesTktAndCountsSteps) {
 TEST(SyncMemoryTest, BlockReloadReusesSlots) {
   ThreadId ids[6];
   Program p = two_block_program(ids);
-  SyncMemoryGroup sm(p, 2);
+  SyncMemoryGroup sm(p, kOneGroup);
 
   load(sm, 0);
   sm.decrement(ids[2], true);
@@ -125,7 +128,7 @@ TEST(SyncMemoryTest, HomesBeyondKernelCountClampToKernelZero) {
   Program p = b.build(options);
 
   // Runtime launched with only 2 kernels: thread must land somewhere.
-  SyncMemoryGroup sm(p, 2);
+  SyncMemoryGroup sm(p, kOneGroup);
   EXPECT_EQ(sm.tkt(t).kernel, 0u);
   load(sm, 0);
   EXPECT_EQ(sm.count(t), 0u);
@@ -134,8 +137,8 @@ TEST(SyncMemoryTest, HomesBeyondKernelCountClampToKernelZero) {
 TEST(SyncMemoryTest, BadBlockIdRejected) {
   ThreadId ids[6];
   Program p = two_block_program(ids);
-  SyncMemoryGroup sm(p, 2);
-  EXPECT_THROW(sm.preload_shadow(9, 0, 1), core::TFluxError);
+  SyncMemoryGroup sm(p, kOneGroup);
+  EXPECT_THROW(sm.preload_shadow(9, 0), core::TFluxError);
 }
 
 }  // namespace

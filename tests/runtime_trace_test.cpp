@@ -87,9 +87,9 @@ INSTANTIATE_TEST_SUITE_P(
     Soft, RuntimeTraceTest,
     ::testing::Values(
         Config{apps::AppKind::kTrapez, core::PolicyKind::kLocality, 1},
-        Config{apps::AppKind::kTrapez, core::PolicyKind::kAdaptive, 2},
+        Config{apps::AppKind::kTrapez, core::PolicyKind::kHier, 2},
         Config{apps::AppKind::kMmult, core::PolicyKind::kLocality, 2},
-        Config{apps::AppKind::kQsort, core::PolicyKind::kAdaptive, 1},
+        Config{apps::AppKind::kQsort, core::PolicyKind::kHier, 1},
         Config{apps::AppKind::kFft, core::PolicyKind::kLocality, 1}),
     [](const ::testing::TestParamInfo<Config>& info) {
       std::string name = apps::to_string(info.param.app);

@@ -157,10 +157,10 @@ TEST(TubGroupTest, RoutesByConsumerHomeGroup) {
   const core::ThreadId t0 = b.add_thread(blk, "g0", {}, {}, 0);
   const core::ThreadId t1 = b.add_thread(blk, "g1", {}, {}, 1);
   core::Program p = b.build(core::BuildOptions{.num_kernels = 2});
-  SyncMemoryGroup sm(p, 2);
+  const core::ShardMap map = core::ShardMap::interleaved(2, 2);
+  SyncMemoryGroup sm(p, map);
   TubGroup tubs(p, sm,
-                TubGroupOptions{.num_groups = 2,
-                                .lockfree = false,
+                TubGroupOptions{.lockfree = false,
                                 .segments = 4,
                                 .segment_capacity = 16});
 
@@ -168,8 +168,8 @@ TEST(TubGroupTest, RoutesByConsumerHomeGroup) {
   EXPECT_EQ(tubs.group_of_thread(t1), 1u);
 
   // {t0, t1} is a consecutive-id run, so it becomes one range record
-  // published to *both* owning groups (each applies only its own
-  // partition); the trailing t1 repeat breaks the run and stays a unit
+  // split between both owning groups, each receiving it trimmed to its
+  // own members; the trailing t1 repeat breaks the run and stays a unit
   // update routed to group 1 alone.
   tubs.publish_updates({t0, t1, t1}, 0);
   std::vector<TubEntry> g0, g1;
@@ -177,8 +177,10 @@ TEST(TubGroupTest, RoutesByConsumerHomeGroup) {
   EXPECT_EQ(tubs.tub(1).drain(g1), 2u);
   EXPECT_EQ(g0[0].kind, TubEntry::Kind::kRangeUpdate);
   EXPECT_EQ(g0[0].id, t0);
-  EXPECT_EQ(g0[0].hi, t1);
+  EXPECT_EQ(g0[0].hi, t0);
   EXPECT_EQ(g1[0].kind, TubEntry::Kind::kRangeUpdate);
+  EXPECT_EQ(g1[0].id, t1);
+  EXPECT_EQ(g1[0].hi, t1);
   EXPECT_EQ(g1[1].kind, TubEntry::Kind::kUpdate);
   EXPECT_EQ(g1[1].id, t1);
 }
@@ -187,10 +189,10 @@ TEST(TubGroupTest, LoadBroadcastAndOutletToCoordinator) {
   core::ProgramBuilder b;
   b.add_thread(b.add_block(), "t", {}, {}, 0);
   core::Program p = b.build(core::BuildOptions{.num_kernels = 3});
-  SyncMemoryGroup sm(p, 3);
+  const core::ShardMap map = core::ShardMap::interleaved(3, 3);
+  SyncMemoryGroup sm(p, map);
   TubGroup tubs(p, sm,
-                TubGroupOptions{.num_groups = 3,
-                                .lockfree = false,
+                TubGroupOptions{.lockfree = false,
                                 .segments = 4,
                                 .segment_capacity = 16});
 
@@ -209,10 +211,10 @@ TEST(TubGroupTest, ShutdownBroadcastReachesEveryGroup) {
   core::ProgramBuilder b;
   b.add_thread(b.add_block(), "t", {}, {}, 0);
   core::Program p = b.build(core::BuildOptions{.num_kernels = 2});
-  SyncMemoryGroup sm(p, 2);
+  const core::ShardMap map = core::ShardMap::interleaved(2, 2);
+  SyncMemoryGroup sm(p, map);
   TubGroup tubs(p, sm,
-                TubGroupOptions{.num_groups = 2,
-                                .lockfree = false,
+                TubGroupOptions{.lockfree = false,
                                 .segments = 2,
                                 .segment_capacity = 8});
   tubs.broadcast_shutdown();

@@ -61,6 +61,23 @@ TEST(ToolsCheckTest, ParseErrors) {
                core::TFluxError);
 }
 
+TEST(ToolsCheckTest, IntegerFlagsRejectValuesTheFieldCannotHold) {
+  // --max-findings is bounded by its 32-bit field: nothing wraps.
+  EXPECT_THROW(parse_check_args({"t.ddmtrace", "--max-findings=-1"}),
+               core::TFluxError);
+  EXPECT_THROW(
+      parse_check_args({"t.ddmtrace", "--max-findings=4294967296"}),
+      core::TFluxError);
+  EXPECT_THROW(parse_check_args({"t.ddmtrace", "--max-findings=+3"}),
+               core::TFluxError);
+  EXPECT_EQ(
+      parse_check_args({"t.ddmtrace", "--max-findings=4294967295"})
+          .max_findings,
+      4294967295u);
+  EXPECT_EQ(parse_check_args({"t.ddmtrace", "--max-findings=0"}).max_findings,
+            0u);
+}
+
 TEST(ToolsCheckTest, RecordedBenchmarkTraceChecksClean) {
   // Provenance path 1: the Program is rebuilt from the trace's own
   // app/size/unroll/tsu-capacity metadata.

@@ -93,6 +93,8 @@ TEST(CliParseTest, Errors) {
   EXPECT_THROW(parse_args({"--kernels=abc"}), core::TFluxError);
   EXPECT_THROW(parse_args({"--unroll=0"}), core::TFluxError);
   EXPECT_THROW(parse_args({"--policy=best"}), core::TFluxError);
+  // adaptive was retired: kHier is its backlog-driven dispatch.
+  EXPECT_THROW(parse_args({"--policy=adaptive"}), core::TFluxError);
   EXPECT_THROW(parse_args({"--bogus"}), core::TFluxError);
   // FFT on Cell is rejected (Figure 7 has no FFT).
   EXPECT_THROW(parse_args({"--app=fft", "--platform=cell"}),
@@ -162,6 +164,31 @@ TEST(CliRunTest, GraphFileModeSimulatesLoadedGraph) {
   std::remove(path);
 }
 
+TEST(CliRunTest, JsonEscapesTheProgramName) {
+  // A ddmgraph program name may hold any non-blank characters; the
+  // stats report must stay valid JSON whatever it is.
+  const std::string graph = ::testing::TempDir() + "cli_quoted.ddmg";
+  const std::string json = ::testing::TempDir() + "cli_quoted.json";
+  {
+    std::ofstream f(graph);
+    f << "ddmgraph 1\nprogram a\"b\\c\nblock\n"
+         "thread a compute 1000\nthread b compute 1000\narc 0 1\n";
+  }
+  std::ostringstream out;
+  const CliOptions o = parse_args(
+      {std::string("--graph=") + graph, "--platform=soft", "--kernels=2",
+       "--no-baseline", std::string("--json=") + json});
+  EXPECT_EQ(run_cli(o, out), 0) << out.str();
+  std::ifstream jf(json);
+  ASSERT_TRUE(jf.good());
+  std::stringstream jbuf;
+  jbuf << jf.rdbuf();
+  EXPECT_NE(jbuf.str().find("\"app\": \"a\\\"b\\\\c\""), std::string::npos)
+      << jbuf.str();
+  std::remove(graph.c_str());
+  std::remove(json.c_str());
+}
+
 TEST(CliRunTest, MissingGraphFileFails) {
   std::ostringstream out;
   const CliOptions o = parse_args({"--graph=/nonexistent/x.ddmg"});
@@ -223,6 +250,7 @@ TEST(ServeParseTest, PolicyNames) {
   EXPECT_EQ(parse_serve_args({"--policy=affinity"}).policy,
             core::PolicyKind::kAffinity);
   EXPECT_THROW(parse_serve_args({"--policy=best"}), core::TFluxError);
+  EXPECT_THROW(parse_serve_args({"--policy=adaptive"}), core::TFluxError);
 }
 
 TEST(CliRunTest, TsuGroupsFlagReachesMachine) {

@@ -46,6 +46,25 @@ TEST(ToolsLintTest, RejectsUnknownOption) {
   EXPECT_THROW(parse_lint_args({"--app=doom"}), core::TFluxError);
 }
 
+TEST(ToolsLintTest, IntegerFlagsRejectValuesTheFieldCannotHold) {
+  // Each flag is bounded by its field's type: nothing wraps.
+  EXPECT_THROW(parse_lint_args({"--kernels=65537"}), core::TFluxError);
+  EXPECT_THROW(parse_lint_args({"--kernels=-65535"}), core::TFluxError);
+  EXPECT_THROW(parse_lint_args({"--kernels=0"}), core::TFluxError);
+  EXPECT_THROW(parse_lint_args({"--unroll=0"}), core::TFluxError);
+  EXPECT_THROW(parse_lint_args({"--shards=65538"}), core::TFluxError);
+  EXPECT_THROW(parse_lint_args({"--tenant-capacity=65536"}),
+               core::TFluxError);
+  EXPECT_THROW(parse_lint_args({"--tsu-capacity=4294967296"}),
+               core::TFluxError);
+  EXPECT_THROW(parse_lint_args({"--min-block-threads=-1"}),
+               core::TFluxError);
+  EXPECT_EQ(parse_lint_args({"--kernels=65535"}).kernels, 65535u);
+  EXPECT_EQ(parse_lint_args({"--shards=2"}).shards, 2u);
+  EXPECT_EQ(parse_lint_args({"--tsu-capacity=4294967295"}).tsu_capacity,
+            4294967295u);
+}
+
 TEST(ToolsLintTest, ParsesMinBlockThreads) {
   EXPECT_EQ(parse_lint_args({}).min_block_threads, 0u);  // off by default
   EXPECT_EQ(parse_lint_args({"--min-block-threads=8"}).min_block_threads,
