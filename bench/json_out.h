@@ -9,12 +9,9 @@
 // figure-bench harness.
 #pragma once
 
-#include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <string>
-#include <utility>
-#include <vector>
+#include <string_view>
 
 #include "core/json.h"
 
@@ -40,74 +37,47 @@ inline std::string parse_json_flag(int& argc, char** argv) {
   return path;
 }
 
-/// Tiny append-only JSON document builder: one named bench, a flat
-/// list of result rows, each a set of scalar fields.
+/// One named bench and a flat list of result rows, each a set of
+/// scalar fields: {"bench": name, "rows": [{...}, ...]}, streamed
+/// through core::JsonWriter.
 class JsonWriter {
  public:
-  explicit JsonWriter(std::string bench_name)
-      : bench_name_(std::move(bench_name)) {}
+  explicit JsonWriter(const std::string& bench_name) {
+    json_.begin_object().field("bench", bench_name).begin_array("rows");
+  }
 
-  void begin_row() { rows_.emplace_back(); }
+  void begin_row() {
+    if (in_row_) json_.end_object();
+    json_.begin_object();
+    in_row_ = true;
+  }
 
-  void field(const std::string& key, const std::string& value) {
-    row().emplace_back(key, "\"" + core::json_escape(value) + "\"");
-  }
-  void field(const std::string& key, const char* value) {
-    field(key, std::string(value));
-  }
-  void field(const std::string& key, double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    row().emplace_back(key, buf);
-  }
-  void field(const std::string& key, std::uint64_t value) {
-    row().emplace_back(key, std::to_string(value));
-  }
-  void field(const std::string& key, std::uint32_t value) {
-    row().emplace_back(key, std::to_string(value));
-  }
-  void field(const std::string& key, int value) {
-    row().emplace_back(key, std::to_string(value));
-  }
-  void field(const std::string& key, bool value) {
-    row().emplace_back(key, value ? "true" : "false");
+  template <typename T>
+  void field(std::string_view key, const T& value) {
+    if (!in_row_) begin_row();
+    json_.field(key, value);
   }
 
   /// Serialize. Returns false (after a perror-style message) when the
   /// file cannot be written; a no-op returning true when `path` is "".
   bool write_file(const std::string& path) const {
     if (path.empty()) return true;
-    std::ofstream out(path);
-    if (!out) {
+    core::JsonWriter doc = json_;
+    if (in_row_) doc.end_object();
+    doc.end_array().end_object();
+    try {
+      core::write_file(path, doc.str());
+    } catch (const core::TFluxError&) {
       std::fprintf(stderr, "bench: cannot write JSON to '%s'\n",
                    path.c_str());
       return false;
     }
-    out << "{\n  \"bench\": \"" << core::json_escape(bench_name_)
-        << "\",\n  \"rows\": [\n";
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      out << "    {";
-      for (std::size_t f = 0; f < rows_[i].size(); ++f) {
-        out << "\"" << core::json_escape(rows_[i][f].first)
-            << "\": " << rows_[i][f].second;
-        if (f + 1 < rows_[i].size()) out << ", ";
-      }
-      out << "}" << (i + 1 < rows_.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    return static_cast<bool>(out);
+    return true;
   }
 
  private:
-  using Row = std::vector<std::pair<std::string, std::string>>;
-
-  Row& row() {
-    if (rows_.empty()) rows_.emplace_back();
-    return rows_.back();
-  }
-
-  std::string bench_name_;
-  std::vector<Row> rows_;
+  core::JsonWriter json_;
+  bool in_row_ = false;
 };
 
 }  // namespace tflux::bench

@@ -1,5 +1,7 @@
 #include "apps/suite.h"
 
+#include <cctype>
+
 #include "apps/fft.h"
 #include "apps/mmult.h"
 #include "apps/qsort.h"
@@ -65,6 +67,46 @@ std::vector<AppKind> table1_apps() {
 std::vector<AppKind> cell_apps() {
   return {AppKind::kTrapez, AppKind::kMmult, AppKind::kQsort,
           AppKind::kSusan};
+}
+
+namespace {
+
+std::string lower(const char* text) {
+  std::string out(text);
+  for (char& c : out) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  return out;
+}
+
+template <typename T>
+T parse_name(const char* noun, const std::vector<T>& known,
+             const std::string& name) {
+  std::string names;
+  for (T value : known) {
+    if (cli_name(value) == name) return value;
+    names += (names.empty() ? "" : ", ") + cli_name(value);
+  }
+  throw core::TFluxError(std::string("unknown ") + noun + " '" + name +
+                         "' (" + names + ")");
+}
+
+}  // namespace
+
+std::string cli_name(AppKind kind) { return lower(to_string(kind)); }
+
+std::string cli_name(SizeClass size) { return lower(to_string(size)); }
+
+AppKind parse_app(const std::string& name) {
+  return parse_name("app", all_apps(), name);
+}
+
+SizeClass parse_size(const std::string& name) {
+  return parse_name("size",
+                    std::vector<SizeClass>{SizeClass::kSmall,
+                                           SizeClass::kMedium,
+                                           SizeClass::kLarge},
+                    name);
 }
 
 AppRun build_app(AppKind kind, SizeClass size, Platform platform,

@@ -32,6 +32,16 @@ std::vector<AppKind> table1_apps();
 /// The four benchmarks evaluated on TFluxCell (Figure 7 omits FFT).
 std::vector<AppKind> cell_apps();
 
+/// The lower-case spelling the command-line tools accept and ddmtrace
+/// metadata records ("trapez", "small").
+std::string cli_name(AppKind kind);
+std::string cli_name(SizeClass size);
+
+/// Inverse of cli_name. Throws core::TFluxError "unknown app 'x'
+/// (trapez, mmult, ...)" / "unknown size 'x' (small, ...)" otherwise.
+AppKind parse_app(const std::string& name);
+SizeClass parse_size(const std::string& name);
+
 /// Build the DDM program for `kind` with the platform's Table-1
 /// problem size for `size`.
 AppRun build_app(AppKind kind, SizeClass size, Platform platform,

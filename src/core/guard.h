@@ -134,8 +134,9 @@ class Guard {
 
   /// One-shot callback on the first violation (any lane). The runtime
   /// points this at TraceLog::request_emergency_dump so a trip also
-  /// persists the in-flight trace prefix. Called at most once, outside
-  /// the violation mutex.
+  /// persists the in-flight trace prefix, and in fault-injection runs
+  /// prints the violation to stderr. Called at most once, outside the
+  /// violation mutex, after the violation is recorded.
   void set_on_first_violation(std::function<void()> callback) {
     on_first_violation_ = std::move(callback);
   }

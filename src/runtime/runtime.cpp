@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <thread>
 
 #include "core/error.h"
@@ -139,11 +140,21 @@ RuntimeStats Runtime::run() {
           options_.trace_emergency(header);
         });
   }
-  if (frame.guard() != nullptr && frame.trace_log() != nullptr) {
+  if (frame.guard() != nullptr && (frame.trace_log() != nullptr || inject)) {
     // First violation => persist the in-flight trace prefix, so the
-    // online finding and the offline replay triage the same run.
+    // online finding and the offline replay triage the same run. A
+    // fault-injection run also prints it at once: the seeded fault can
+    // end the process (a sanitizer halting on the early-dispatched
+    // victim's body) before the run reports.
     frame.guard()->set_on_first_violation(
-        [log = frame.trace_log()] { log->request_emergency_dump(); });
+        [this, guard = frame.guard(), log = frame.trace_log(), inject] {
+          if (inject) {
+            std::fprintf(
+                stderr, "guard: %s\n",
+                guard->violations().front().to_string(program_).c_str());
+          }
+          if (log != nullptr) log->request_emergency_dump();
+        });
   }
   if (inject) {
     if (options_.guard.mode != core::GuardMode::kFull) {

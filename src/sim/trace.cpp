@@ -1,7 +1,5 @@
 #include "sim/trace.h"
 
-#include <sstream>
-
 #include "core/json.h"
 
 namespace tflux::sim {
@@ -18,28 +16,32 @@ void Trace::set_lane_name(std::uint32_t lane, std::string name) {
 }
 
 std::string Trace::to_chrome_json() const {
-  std::ostringstream out;
-  out << "{\"traceEvents\":[";
-  bool first = true;
+  core::JsonWriter json(core::JsonWriter::Layout::kLine);
+  json.begin_object().begin_array("traceEvents");
   for (std::size_t lane = 0; lane < lane_names_.size(); ++lane) {
     if (lane_names_[lane].empty()) continue;
-    if (!first) out << ",";
-    first = false;
-    out << "{\"ph\":\"M\",\"pid\":1,\"tid\":" << lane
-        << ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-    out << core::json_escape(lane_names_[lane]);
-    out << "\"}}";
+    json.begin_object()
+        .field("ph", "M")
+        .field("pid", 1)
+        .field("tid", lane)
+        .field("name", "thread_name")
+        .begin_object("args")
+        .field("name", lane_names_[lane])
+        .end_object()
+        .end_object();
   }
   for (const TraceSpan& s : spans_) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"ph\":\"X\",\"pid\":1,\"tid\":" << s.lane << ",\"ts\":"
-        << s.begin << ",\"dur\":" << (s.end - s.begin) << ",\"name\":\"";
-    out << core::json_escape(s.name);
-    out << "\"}";
+    json.begin_object()
+        .field("ph", "X")
+        .field("pid", 1)
+        .field("tid", s.lane)
+        .field("ts", s.begin)
+        .field("dur", s.end - s.begin)
+        .field("name", s.name)
+        .end_object();
   }
-  out << "]}";
-  return out.str();
+  json.end_array().end_object();
+  return json.str();
 }
 
 }  // namespace tflux::sim

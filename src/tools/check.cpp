@@ -1,6 +1,5 @@
 #include "tools/check.h"
 
-#include <cctype>
 #include <fstream>
 #include <sstream>
 
@@ -9,31 +8,13 @@
 #include "core/ddmtrace.h"
 #include "core/error.h"
 #include "core/graph_io.h"
-#include "core/spec.h"
+#include "tools/flags.h"
 
 namespace tflux::tools {
 
 using core::TFluxError;
 
 namespace {
-
-apps::AppKind parse_app(const std::string& name) {
-  for (apps::AppKind kind : apps::all_apps()) {
-    std::string lower = apps::to_string(kind);
-    for (char& c : lower) c = static_cast<char>(std::tolower(c));
-    if (name == lower) return kind;
-  }
-  throw TFluxError("tflux_check: trace names unknown app '" + name +
-                   "' (trapez, mmult, qsort, susan, fft)");
-}
-
-apps::SizeClass parse_size(const std::string& name) {
-  if (name == "small") return apps::SizeClass::kSmall;
-  if (name == "medium") return apps::SizeClass::kMedium;
-  if (name == "large") return apps::SizeClass::kLarge;
-  throw TFluxError("tflux_check: trace names unknown size '" + name +
-                   "' (small, medium, large)");
-}
 
 std::string slurp(const std::string& path, const char* what) {
   std::ifstream in(path);
@@ -46,58 +27,38 @@ std::string slurp(const std::string& path, const char* what) {
   return text.str();
 }
 
+Command check_command(CheckCliOptions& o) {
+  return Command{
+      "tflux_check",
+      "Replay a ddmtrace execution trace through the ddmcheck verifier.",
+      {
+          operand("TRACE", "the trace to verify (or --trace=FILE)",
+                  o.trace_file),
+          trace_flag(o.trace_file, "the trace to verify"),
+          graph_flag(o.graph_file,
+                     "rebuild the program from a ddmgraph file instead of "
+                     "the trace's app metadata"),
+          switch_flag("--no-races",
+                      "skip the happens-before footprint race pass",
+                      o.races, false),
+          uint_flag("--max-findings", "N",
+                    "stop after N findings (default 256, 0 = all)",
+                    o.max_findings),
+          switch_flag("--quiet", "summary only", o.quiet),
+      },
+      "Invariant catalog: docs/CHECKING.md"};
+}
+
 }  // namespace
 
 std::string check_usage() {
-  return
-      "usage: tflux_check [options] [TRACE]\n"
-      "Replay a ddmtrace execution trace through the ddmcheck "
-      "verifier.\n"
-      "  --trace=FILE                         the trace to verify "
-      "(or positional)\n"
-      "  --graph=FILE                         rebuild the program from "
-      "a ddmgraph file\n"
-      "                                       instead of the trace's "
-      "app metadata\n"
-      "  --no-races                           skip the happens-before "
-      "footprint race pass\n"
-      "  --max-findings=N                     stop after N findings "
-      "(default 256, 0 = all)\n"
-      "  --quiet                              summary only\n"
-      "  --help\n"
-      "Invariant catalog: docs/CHECKING.md\n";
+  CheckCliOptions defaults;
+  return usage_text(check_command(defaults));
 }
 
 CheckCliOptions parse_check_args(const std::vector<std::string>& args) {
   CheckCliOptions options;
-  for (const std::string& arg : args) {
-    auto value_of = [&arg](const char* prefix) {
-      return arg.substr(std::string(prefix).size());
-    };
-    if (arg == "--help" || arg == "-h") {
-      options.help = true;
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      options.trace_file = value_of("--trace=");
-    } else if (arg.rfind("--graph=", 0) == 0) {
-      options.graph_file = value_of("--graph=");
-    } else if (arg == "--no-races") {
-      options.races = false;
-    } else if (arg.rfind("--max-findings=", 0) == 0) {
-      core::parse_flag_uint("tflux_check", "--max-findings",
-                            value_of("--max-findings="), /*min_one=*/false,
-                            options.max_findings);
-    } else if (arg == "--quiet") {
-      options.quiet = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      throw TFluxError("tflux_check: unknown option '" + arg + "'\n" +
-                       check_usage());
-    } else if (options.trace_file.empty()) {
-      options.trace_file = arg;
-    } else {
-      throw TFluxError("tflux_check: more than one trace file given\n" +
-                       check_usage());
-    }
-  }
+  parse_command(check_command(options), args, options.help);
   if (!options.help && options.trace_file.empty()) {
     throw TFluxError("tflux_check: no trace file given\n" + check_usage());
   }
@@ -130,9 +91,15 @@ int run_check(const CheckCliOptions& options, std::ostream& out) {
     params.num_kernels = trace.kernels;
     if (trace.unroll != 0) params.unroll = trace.unroll;
     if (trace.tsu_capacity != 0) params.tsu_capacity = trace.tsu_capacity;
-    program = apps::build_app(parse_app(trace.app),
-                              parse_size(trace.size),
-                              apps::Platform::kNative, params)
+    apps::AppKind app;
+    apps::SizeClass size;
+    try {
+      app = apps::parse_app(trace.app);
+      size = apps::parse_size(trace.size);
+    } catch (const TFluxError& e) {
+      throw TFluxError(std::string("tflux_check: trace names ") + e.what());
+    }
+    program = apps::build_app(app, size, apps::Platform::kNative, params)
                   .program;
   } else {
     throw TFluxError(

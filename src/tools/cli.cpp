@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -16,13 +15,13 @@
 #include "core/error.h"
 #include "core/json.h"
 #include "core/scheduler.h"
-#include "core/spec.h"
 #include "core/topology.h"
 #include "core/verify.h"
 #include "machine/config.h"
 #include "machine/machine.h"
 #include "runtime/runtime.h"
 #include "sim/trace.h"
+#include "tools/flags.h"
 
 namespace tflux::tools {
 
@@ -48,33 +47,28 @@ const char* to_string(CliPlatform platform) {
 
 namespace {
 
-apps::AppKind parse_app(const std::string& name) {
-  for (apps::AppKind kind : apps::all_apps()) {
-    std::string lower = apps::to_string(kind);
-    for (char& c : lower) c = static_cast<char>(std::tolower(c));
-    if (name == lower) return kind;
+bool parse_platform(const std::string& name, CliPlatform& out) {
+  for (CliPlatform platform :
+       {CliPlatform::kReference, CliPlatform::kSoft, CliPlatform::kHard,
+        CliPlatform::kX86Hard, CliPlatform::kSoftSim, CliPlatform::kCell}) {
+    if (name == to_string(platform)) {
+      out = platform;
+      return true;
+    }
   }
-  throw TFluxError("tflux_run: unknown app '" + name +
-                   "' (trapez, mmult, qsort, susan, susanpipe, fft)");
+  return false;
 }
 
-apps::SizeClass parse_size(const std::string& name) {
-  if (name == "small") return apps::SizeClass::kSmall;
-  if (name == "medium") return apps::SizeClass::kMedium;
-  if (name == "large") return apps::SizeClass::kLarge;
-  throw TFluxError("tflux_run: unknown size '" + name +
-                   "' (small, medium, large)");
-}
-
-CliPlatform parse_platform(const std::string& name) {
-  if (name == "reference") return CliPlatform::kReference;
-  if (name == "soft") return CliPlatform::kSoft;
-  if (name == "hard") return CliPlatform::kHard;
-  if (name == "x86hard") return CliPlatform::kX86Hard;
-  if (name == "softsim") return CliPlatform::kSoftSim;
-  if (name == "cell") return CliPlatform::kCell;
-  throw TFluxError("tflux_run: unknown platform '" + name +
-                   "' (reference, soft, hard, x86hard, softsim, cell)");
+bool parse_fault(const std::string& name, runtime::FaultInjection& out) {
+  using Kind = runtime::FaultInjection::Kind;
+  for (Kind kind :
+       {Kind::kDoublePublish, Kind::kLostUpdate, Kind::kStaleGeneration}) {
+    if (name == runtime::to_string(kind)) {
+      out.kind = kind;
+      return true;
+    }
+  }
+  return false;
 }
 
 /// Sizes use the platform-appropriate Table-1 column.
@@ -90,173 +84,86 @@ apps::Platform table1_platform(CliPlatform platform) {
   }
 }
 
+Command run_command(CliOptions& o) {
+  return Command{
+      "tflux_run",
+      "",
+      {
+          app_flag(o.app, "benchmark (default trapez)"),
+          size_flag(o.size),
+          choice_flag("--platform", "reference|soft|hard|x86hard|softsim|cell",
+                      "execution platform (default hard)", o.platform,
+                      parse_platform),
+          uint_flag("--kernels", "N", "worker kernels/SPEs (default 4)",
+                    o.kernels, /*min_one=*/true),
+          unroll_flag(o.unroll, "loop unroll factor (default 4)"),
+          tsu_capacity_flag(o.tsu_capacity,
+                            "DThreads per DDM block (default 512)"),
+          tsu_groups_flag(o.tsu_groups,
+                          "TSU Groups, hard/soft targets (default 1)"),
+          shards_flag(o.shards,
+                      "sharded TSU: K clustered domains (0 = flat, the "
+                      "default; pair with --policy=hier for hierarchical "
+                      "stealing)"),
+          policy_flag(o.policy,
+                      "ready-thread policy (default locality; affinity "
+                      "routes each consumer to the kernel holding most of "
+                      "its input bytes and needs the data plane)"),
+          switch_flag("--mutex-runtime",
+                      "soft platform: use the paper-faithful mutex/try-lock "
+                      "runtime (ablation)",
+                      o.lockfree, false),
+          no_dataplane_flag(o.dataplane,
+                            "disable the managed data plane: no forward or "
+                            "affinity accounting, implicit shared memory "
+                            "only (ablation; --policy=affinity then "
+                            "degrades to hier)"),
+          switch_flag("--no-validate", "skip result validation", o.validate,
+                      false),
+          switch_flag("--no-baseline", "skip the sequential baseline",
+                      o.baseline, false),
+          switch_flag("--lint", "run the ddmlint static verifier first",
+                      o.lint),
+          switch_flag("--check",
+                      "soft platform: replay the recorded trace through "
+                      "the ddmcheck verifier (exit 1 on findings)",
+                      o.check),
+          uint_flag("--repeat", "N",
+                    "soft platform: run N iterations on ONE warm-started "
+                    "Runtime, reporting every iteration's wall time",
+                    o.repeat, /*min_one=*/true),
+          guard_flag(o.guard,
+                     "soft platform: ddmguard online protocol checking "
+                     "(sampled = deep checks on every Nth block, default "
+                     "8; exit 1 on violations)"),
+          choice_flag("--inject-fault",
+                      "double-publish|lost-update|stale-generation",
+                      "soft platform: seed one protocol fault (requires "
+                      "--guard=full; validation harness)",
+                      o.inject_fault, parse_fault),
+          json_flag(o.json_file,
+                    "soft platform: write a JSON run summary (emulator "
+                    "stats under a stable key)"),
+          graph_flag(o.graph_file,
+                     "simulate a ddmgraph file instead of a benchmark"),
+          path_flag("--dot", "FILE", "write the graph as DOT", o.dot_file),
+          trace_flag(o.trace_file,
+                     "write an execution trace: ddmtrace on the soft "
+                     "platform, Chrome JSON on simulated ones"),
+      },
+      ""};
+}
+
 }  // namespace
 
 std::string usage() {
-  return
-      "usage: tflux_run [options]\n"
-      "  --app=trapez|mmult|qsort|susan|susanpipe|fft\n"
-      "                                       (default trapez)\n"
-      "  --size=small|medium|large            (default small)\n"
-      "  --platform=reference|soft|hard|x86hard|softsim|cell\n"
-      "                                       (default hard)\n"
-      "  --kernels=N                          worker kernels/SPEs "
-      "(default 4)\n"
-      "  --unroll=N                           loop unroll factor "
-      "(default 4)\n"
-      "  --tsu-capacity=N                     DThreads per DDM block "
-      "(default 512)\n"
-      "  --tsu-groups=N                       TSU Groups, hard/soft "
-      "targets (default 1)\n"
-      "  --shards=K                           sharded TSU: K clustered "
-      "domains\n"
-      "                                       (0 = flat, the default; "
-      "pair with\n"
-      "                                       --policy=hier for "
-      "hierarchical stealing)\n"
-      "  --policy=fifo|locality|hier|affinity\n"
-      "                                       ready-thread policy "
-      "(affinity routes each\n"
-      "                                       consumer to the kernel "
-      "holding most of its\n"
-      "                                       input bytes; needs the "
-      "data plane)\n"
-      "  --mutex-runtime                      soft platform: use the "
-      "paper-faithful\n"
-      "                                       mutex/try-lock runtime "
-      "(ablation)\n"
-      "  --no-dataplane                       disable the managed data "
-      "plane: no forward\n"
-      "                                       or affinity accounting, "
-      "implicit shared\n"
-      "                                       memory only (ablation; "
-      "--policy=affinity\n"
-      "                                       then degrades to hier)\n"
-      "  --no-validate                        skip result validation\n"
-      "  --no-baseline                        skip the sequential "
-      "baseline\n"
-      "  --lint                               run the ddmlint static "
-      "verifier first\n"
-      "  --check                              soft platform: replay the "
-      "recorded trace\n"
-      "                                       through the ddmcheck "
-      "verifier (exit 1 on\n"
-      "                                       findings)\n"
-      "  --repeat=N                           soft platform: run N "
-      "iterations on ONE\n"
-      "                                       warm-started Runtime, "
-      "reporting every\n"
-      "                                       iteration's wall time\n"
-      "  --guard=off|sampled[:N]|full         soft platform: ddmguard "
-      "online protocol\n"
-      "                                       checking (sampled = deep "
-      "checks on every\n"
-      "                                       Nth block, default 8; exit "
-      "1 on violations)\n"
-      "  --inject-fault=double-publish|lost-update|stale-generation\n"
-      "                                       soft platform: seed one "
-      "protocol fault\n"
-      "                                       (requires --guard=full; "
-      "validation harness)\n"
-      "  --json=FILE                          soft platform: write a "
-      "JSON run summary\n"
-      "                                       (emulator stats under a "
-      "stable key)\n"
-      "  --graph=FILE                         simulate a ddmgraph file "
-      "instead of a benchmark\n"
-      "  --dot=FILE                           write the graph as DOT\n"
-      "  --trace=FILE                         write an execution trace: "
-      "ddmtrace on the\n"
-      "                                       soft platform, Chrome JSON "
-      "on simulated ones\n"
-      "  --help\n";
+  CliOptions defaults;
+  return usage_text(run_command(defaults));
 }
 
 CliOptions parse_args(const std::vector<std::string>& args) {
   CliOptions options;
-  for (const std::string& arg : args) {
-    auto value_of = [&arg](const char* prefix) {
-      return arg.substr(std::string(prefix).size());
-    };
-    // `--flag=N` into `field`, bounded by the field's type.
-    auto uint_flag = [&arg](const char* flag, bool min_one, auto& field) {
-      core::parse_flag_uint("tflux_run", flag,
-                            arg.substr(std::strlen(flag) + 1), min_one,
-                            field);
-    };
-    if (arg == "--help" || arg == "-h") {
-      options.help = true;
-    } else if (arg.rfind("--app=", 0) == 0) {
-      options.app = parse_app(value_of("--app="));
-    } else if (arg.rfind("--size=", 0) == 0) {
-      options.size = parse_size(value_of("--size="));
-    } else if (arg.rfind("--platform=", 0) == 0) {
-      options.platform = parse_platform(value_of("--platform="));
-    } else if (arg.rfind("--kernels=", 0) == 0) {
-      uint_flag("--kernels", /*min_one=*/true, options.kernels);
-    } else if (arg.rfind("--unroll=", 0) == 0) {
-      uint_flag("--unroll", /*min_one=*/true, options.unroll);
-    } else if (arg.rfind("--tsu-capacity=", 0) == 0) {
-      uint_flag("--tsu-capacity", /*min_one=*/false, options.tsu_capacity);
-    } else if (arg.rfind("--tsu-groups=", 0) == 0) {
-      uint_flag("--tsu-groups", /*min_one=*/true, options.tsu_groups);
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      uint_flag("--shards", /*min_one=*/false, options.shards);
-    } else if (arg.rfind("--policy=", 0) == 0) {
-      if (!core::parse_policy(value_of("--policy="), options.policy)) {
-        throw TFluxError("tflux_run: unknown policy '" +
-                         value_of("--policy=") +
-                         "' (fifo, locality, hier, affinity)");
-      }
-    } else if (arg == "--mutex-runtime") {
-      options.lockfree = false;
-    } else if (arg == "--no-dataplane") {
-      options.dataplane = false;
-    } else if (arg == "--no-validate") {
-      options.validate = false;
-    } else if (arg == "--no-baseline") {
-      options.baseline = false;
-    } else if (arg == "--lint") {
-      options.lint = true;
-    } else if (arg == "--check") {
-      options.check = true;
-    } else if (arg.rfind("--repeat=", 0) == 0) {
-      uint_flag("--repeat", /*min_one=*/true, options.repeat);
-    } else if (arg.rfind("--guard=", 0) == 0) {
-      if (!core::parse_guard_spec(value_of("--guard="), options.guard)) {
-        throw TFluxError("tflux_run: --guard expects off, sampled, "
-                         "sampled:N (N >= 1) or full, got '" +
-                         value_of("--guard=") + "'");
-      }
-    } else if (arg.rfind("--inject-fault=", 0) == 0) {
-      const std::string kind = value_of("--inject-fault=");
-      if (kind == "double-publish") {
-        options.inject_fault.kind =
-            runtime::FaultInjection::Kind::kDoublePublish;
-      } else if (kind == "lost-update") {
-        options.inject_fault.kind =
-            runtime::FaultInjection::Kind::kLostUpdate;
-      } else if (kind == "stale-generation") {
-        options.inject_fault.kind =
-            runtime::FaultInjection::Kind::kStaleGeneration;
-      } else {
-        throw TFluxError("tflux_run: --inject-fault expects "
-                         "double-publish, lost-update or "
-                         "stale-generation, got '" + kind + "'");
-      }
-    } else if (arg.rfind("--json=", 0) == 0) {
-      options.json_file = value_of("--json=");
-    } else if (arg.rfind("--graph=", 0) == 0) {
-      options.graph_file = value_of("--graph=");
-    } else if (arg.rfind("--dot=", 0) == 0) {
-      options.dot_file = value_of("--dot=");
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      options.trace_file = value_of("--trace=");
-    } else {
-      throw TFluxError("tflux_run: unknown option '" + arg + "'\n" +
-                       usage());
-    }
-  }
+  parse_command(run_command(options), args, options.help);
   if (options.platform == CliPlatform::kCell &&
       options.app == apps::AppKind::kFft) {
     throw TFluxError(
@@ -395,8 +302,8 @@ int run_cli(const CliOptions& options, std::ostream& out) {
     core::DotOptions dot_options;
     dot_options.show_inlet_outlet = true;
     dot_options.max_threads = 512;
-    std::ofstream(options.dot_file)
-        << core::to_dot(run.program, dot_options);
+    core::write_file(options.dot_file,
+                     core::to_dot(run.program, dot_options));
     out << "  wrote " << options.dot_file << "\n";
   }
 
@@ -452,10 +359,8 @@ int run_cli(const CliOptions& options, std::ostream& out) {
         std::string app_name;
         std::string size_name;
         if (options.graph_file.empty()) {
-          app_name = apps::to_string(options.app);
-          size_name = apps::to_string(options.size);
-          for (char& c : app_name) c = static_cast<char>(std::tolower(c));
-          for (char& c : size_name) c = static_cast<char>(std::tolower(c));
+          app_name = apps::cli_name(options.app);
+          size_name = apps::cli_name(options.size);
         }
         const std::uint32_t unroll = options.unroll;
         const std::uint32_t tsu_capacity = options.tsu_capacity;
@@ -559,99 +464,77 @@ int run_cli(const CliOptions& options, std::ostream& out) {
       }
       if (!options.json_file.empty()) {
         const runtime::EmulatorStats& e = st.emulator;
-        std::ostringstream json;
-        json << "{\n"
-             << "  \"app\": \"" << core::json_escape(run.name) << "\",\n"
-             << "  \"platform\": \"soft\",\n"
-             << "  \"kernels\": " << options.kernels << ",\n"
-             << "  \"tsu_groups\": " << rt_options.run.tsu_groups << ",\n"
-             << "  \"shards\": " << rt_options.run.shards << ",\n"
-             << "  \"policy\": \"" << core::to_string(options.policy)
-             << "\",\n"
-             << "  \"lockfree\": " << (options.lockfree ? "true" : "false")
-             << ",\n"
-             << "  \"dataplane\": {\n"
-             << "    \"enabled\": "
-             << (options.dataplane ? "true" : "false") << ",\n"
-             << "    \"forwards\": " << forwards << ",\n"
-             << "    \"bytes_forwarded\": " << bytes_forwarded << ",\n"
-             << "    \"affinity_hits\": " << e.affinity_hits << ",\n"
-             << "    \"affinity_misses\": " << e.affinity_misses << ",\n"
-             << "    \"affinity_cold\": " << e.affinity_cold << ",\n"
-             << "    \"cross_shard_bytes\": " << e.cross_shard_bytes
-             << "\n"
-             << "  },\n"
-             << "  \"trace\": "
-             << (rt_options.trace != nullptr ? "true" : "false") << ",\n"
-             << "  \"check\": " << (options.check ? "true" : "false")
-             << ",\n"
-             << "  \"guard\": \"" << core::to_string(options.guard.mode)
-             << "\",\n"
-             << "  \"guard_sample_period\": "
-             << options.guard.sample_period << ",\n"
-             << "  \"guard_checks\": " << st.guard.checks << ",\n"
-             << "  \"guard_sampled_blocks\": " << st.guard.sampled_blocks
-             << ",\n"
-             << "  \"guard_violations\": " << st.guard.violations << ",\n"
-             << "  \"wall_seconds\": " << st.wall_seconds << ",\n"
-             << "  \"repeat\": " << options.repeat << ",\n"
-             << "  \"iteration_wall_seconds\": [";
-        for (std::size_t r = 0; r < iteration_walls.size(); ++r) {
-          json << (r == 0 ? "" : ", ") << iteration_walls[r];
+        core::JsonWriter json;
+        json.begin_object()
+            .field("app", run.name)
+            .field("platform", "soft")
+            .field("kernels", options.kernels)
+            .field("tsu_groups", rt_options.run.tsu_groups)
+            .field("shards", rt_options.run.shards)
+            .field("policy", core::to_string(options.policy))
+            .field("lockfree", options.lockfree)
+            .begin_object("dataplane")
+            .field("enabled", options.dataplane)
+            .field("forwards", forwards)
+            .field("bytes_forwarded", bytes_forwarded)
+            .field("affinity_hits", e.affinity_hits)
+            .field("affinity_misses", e.affinity_misses)
+            .field("affinity_cold", e.affinity_cold)
+            .field("cross_shard_bytes", e.cross_shard_bytes)
+            .end_object()
+            .field("trace", rt_options.trace != nullptr)
+            .field("check", options.check)
+            .field("guard", core::to_string(options.guard.mode))
+            .field("guard_sample_period", options.guard.sample_period)
+            .field("guard_checks", st.guard.checks)
+            .field("guard_sampled_blocks", st.guard.sampled_blocks)
+            .field("guard_violations", st.guard.violations)
+            .field("wall_seconds", st.wall_seconds)
+            .field("repeat", options.repeat)
+            .begin_array("iteration_wall_seconds");
+        for (double wall : iteration_walls) json.value(wall);
+        json.end_array()
+            .begin_object("emulator")
+            .field("dispatches", e.dispatches)
+            .field("home_dispatches", e.home_dispatches)
+            .field("steal_dispatches", e.steal_dispatches)
+            .field("steal_local", e.steal_local)
+            .field("steal_remote", e.steal_remote)
+            .field("steals_in", e.steals_in)
+            .field("updates_processed", e.updates_processed)
+            .field("range_updates", e.range_updates_processed)
+            .field("range_members", e.range_members)
+            .field("blocks_loaded", e.blocks_loaded)
+            .field("prefetch_hits", e.prefetch_hits)
+            .field("prefetch_misses", e.prefetch_misses)
+            .field("deferred_replays", e.deferred_replays)
+            .end_object()
+            .field("shard_imbalance_pct", imbalance_pct)
+            .begin_array("per_shard");
+        for (const runtime::EmulatorStats& pe : st.emulators) {
+          json.begin_object()
+              .field("dispatches", pe.dispatches)
+              .field("home_dispatches", pe.home_dispatches)
+              .field("steal_local", pe.steal_local)
+              .field("steal_remote", pe.steal_remote)
+              .field("steals_in", pe.steals_in)
+              .end_object();
         }
-        json << "],\n"
-             << "  \"emulator\": {\n"
-             << "    \"dispatches\": " << e.dispatches << ",\n"
-             << "    \"home_dispatches\": " << e.home_dispatches << ",\n"
-             << "    \"steal_dispatches\": " << e.steal_dispatches
-             << ",\n"
-             << "    \"steal_local\": " << e.steal_local << ",\n"
-             << "    \"steal_remote\": " << e.steal_remote << ",\n"
-             << "    \"steals_in\": " << e.steals_in << ",\n"
-             << "    \"updates_processed\": " << e.updates_processed
-             << ",\n"
-             << "    \"range_updates\": " << e.range_updates_processed
-             << ",\n"
-             << "    \"range_members\": " << e.range_members << ",\n"
-             << "    \"blocks_loaded\": " << e.blocks_loaded << ",\n"
-             << "    \"prefetch_hits\": " << e.prefetch_hits << ",\n"
-             << "    \"prefetch_misses\": " << e.prefetch_misses << ",\n"
-             << "    \"deferred_replays\": " << e.deferred_replays << "\n"
-             << "  },\n"
-             << "  \"shard_imbalance_pct\": " << imbalance_pct << ",\n"
-             << "  \"per_shard\": [";
-        for (std::size_t g = 0; g < st.emulators.size(); ++g) {
-          const runtime::EmulatorStats& pe = st.emulators[g];
-          json << (g == 0 ? "\n" : ",\n")
-               << "    {\"dispatches\": " << pe.dispatches
-               << ", \"home_dispatches\": " << pe.home_dispatches
-               << ", \"steal_local\": " << pe.steal_local
-               << ", \"steal_remote\": " << pe.steal_remote
-               << ", \"steals_in\": " << pe.steals_in << "}";
-        }
-        json << "\n  ]\n"
-             << "}\n";
-        std::ofstream(options.json_file) << json.str();
+        json.end_array().end_object();
+        core::write_file(options.json_file, json.str());
         out << "  wrote " << options.json_file << "\n";
       }
       if (want_exec_trace) {
         if (options.graph_file.empty()) {
           // Benchmark provenance so `tflux_check` can rebuild the
           // exact Program without a saved ddmgraph.
-          std::string app_name = apps::to_string(options.app);
-          std::string size_name = apps::to_string(options.size);
-          for (char& c : app_name) c = static_cast<char>(std::tolower(c));
-          for (char& c : size_name) {
-            c = static_cast<char>(std::tolower(c));
-          }
-          exec_trace.app = app_name;
-          exec_trace.size = size_name;
+          exec_trace.app = apps::cli_name(options.app);
+          exec_trace.size = apps::cli_name(options.size);
           exec_trace.unroll = options.unroll;
           exec_trace.tsu_capacity = options.tsu_capacity;
         }
         if (!options.trace_file.empty()) {
-          std::ofstream(options.trace_file)
-              << core::save_trace(exec_trace);
+          core::write_file(options.trace_file, core::save_trace(exec_trace));
           out << "  wrote " << options.trace_file << " ("
               << exec_trace.records.size() << " records)\n";
         }
@@ -751,7 +634,7 @@ int run_cli(const CliOptions& options, std::ostream& out) {
         << "x\n";
   }
   if (want_trace) {
-    std::ofstream(options.trace_file) << trace.to_chrome_json();
+    core::write_file(options.trace_file, trace.to_chrome_json());
     out << "  wrote " << options.trace_file << " (" << trace.size()
         << " spans)\n";
   }

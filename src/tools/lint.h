@@ -90,13 +90,6 @@ core::VerifyReport lint_program(const core::Program& program,
                                 const LintOptions& options,
                                 std::ostream& out);
 
-/// Render one program's findings as a JSON object (no trailing
-/// newline): {"program": ..., "errors": N, "warnings": N,
-/// "diagnostics": [{"severity", "code", "thread", "other", "block",
-/// "message"}, ...]}. Invalid thread/block ids render as null.
-std::string lint_report_json(const core::Program& program,
-                             const core::VerifyReport& report);
-
 /// Execute per the options, writing diagnostics to `out`. Returns a
 /// process exit code: 0 clean (no errors; no warnings under --strict),
 /// 1 findings.

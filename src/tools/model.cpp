@@ -1,6 +1,5 @@
 #include "tools/model.h"
 
-#include <cctype>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -11,44 +10,14 @@
 #include "core/ddmtrace.h"
 #include "core/error.h"
 #include "core/graph_io.h"
-#include "core/spec.h"
+#include "core/json.h"
+#include "tools/flags.h"
 
 namespace tflux::tools {
 
 using core::TFluxError;
 
 namespace {
-
-std::string lower(std::string text) {
-  for (char& c : text) c = static_cast<char>(std::tolower(c));
-  return text;
-}
-
-apps::AppKind parse_app(const std::string& name) {
-  for (apps::AppKind kind : apps::all_apps()) {
-    if (name == lower(apps::to_string(kind))) return kind;
-  }
-  throw TFluxError("tflux_model: unknown app '" + name +
-                   "' (trapez, mmult, qsort, susan, susanpipe, fft)");
-}
-
-apps::SizeClass parse_size(const std::string& name) {
-  if (name == "small") return apps::SizeClass::kSmall;
-  if (name == "medium") return apps::SizeClass::kMedium;
-  if (name == "large") return apps::SizeClass::kLarge;
-  throw TFluxError("tflux_model: unknown size '" + name +
-                   "' (small, medium, large)");
-}
-
-std::uint64_t parse_uint(const std::string& flag, const std::string& value,
-                         std::uint64_t max) {
-  std::uint64_t out = 0;
-  if (!core::parse_spec_uint(value, max, /*min_one=*/false, out)) {
-    throw TFluxError("tflux_model: " + flag + " expects a number <= " +
-                     std::to_string(max) + ", got '" + value + "'");
-  }
-  return out;
-}
 
 /// One model-checking target: the program plus the benchmark metadata
 /// stamped into counterexample traces (empty app = graph file; the
@@ -136,8 +105,8 @@ std::vector<Target> make_targets(const ModelCliOptions& options) {
         apps::build_app(kind, options.size, apps::Platform::kNative, params)
             .program;
     t.display = t.program.name();
-    t.app = lower(apps::to_string(kind));
-    t.size = lower(apps::to_string(options.size));
+    t.app = apps::cli_name(kind);
+    t.size = apps::cli_name(options.size);
     t.unroll = unroll;
     t.tsu_capacity = capacity;
     targets.push_back(std::move(t));
@@ -152,132 +121,68 @@ void stamp_metadata(core::ExecTrace& trace, const Target& target) {
   trace.tsu_capacity = target.tsu_capacity;
 }
 
-void write_trace(const std::string& path, const core::ExecTrace& trace) {
-  std::ofstream out(path);
-  if (!out) {
-    throw TFluxError("tflux_model: cannot write trace '" + path + "'");
-  }
-  out << core::save_trace(trace);
+Command model_command(ModelCliOptions& o) {
+  return Command{
+      "tflux_model",
+      "Exhaustively model-check the DDM protocol over small configurations "
+      "(ddmmodel), exploring every schedule; violations come back as "
+      "replayable ddmtrace counterexamples.",
+      {
+          app_flag(o.app, "model one benchmark (default trapez)"),
+          switch_flag("--all", "model every shipped benchmark", o.all),
+          graph_flag(o.graph_file, "model a ddmgraph file (fixtures)"),
+          size_flag(o.size),
+          uint_flag("--kernels", "N", "modeled kernel count (default 2)",
+                    o.kernels, /*min_one=*/true, 64),
+          unroll_flag(o.unroll,
+                      "loop unroll factor (default: per-app small config)",
+                      1u << 20),
+          tsu_capacity_flag(o.tsu_capacity,
+                            "TSU capacity (default 0 = per-app small "
+                            "config)",
+                            1u << 20),
+          switch_flag("--no-pipeline",
+                      "model the simulators' TsuState protocol: "
+                      "synchronous Inlet loads instead of "
+                      "promote-at-OutletDone (the native runtime always "
+                      "pipelines)",
+                      o.pipelined, false),
+          choice_flag("--mutate",
+                      "drop-retire-guard|skip-shadow-promote|unordered-grant|"
+                      "double-publish|replay-stale-update",
+                      "remove one protocol guard; the run must find a "
+                      "counterexample",
+                      o.mutation, core::parse_model_mutation),
+          switch_flag("--mutate-all", "the clean check plus every mutation",
+                      o.mutate_all),
+          switch_flag("--no-replay", "skip the ddmcheck parity replay",
+                      o.replay, false),
+          uint_flag("--max-states", "N",
+                    "exploration bound (default 1000000)", o.max_states,
+                    /*min_one=*/false, std::uint64_t{1} << 40),
+          switch_flag("--no-por", "disable partial-order reduction", o.por,
+                      false),
+          path_flag("--trace-out", "FILE",
+                    "write the first counterexample trace", o.trace_out),
+          path_flag("--cex-dir", "DIR",
+                    "write every counterexample as "
+                    "DIR/<program>-<mutation>.ddmtrace",
+                    o.cex_dir),
+          switch_flag("--quiet", "summaries only", o.quiet),
+      },
+      "Decision matrix: docs/CHECKING.md"};
 }
 
 }  // namespace
 
 std::string model_usage() {
-  return
-      "usage: tflux_model [options]\n"
-      "Exhaustively model-check the DDM protocol over small "
-      "configurations\n"
-      "(ddmmodel), exploring every schedule; violations come back as "
-      "replayable\n"
-      "ddmtrace counterexamples.\n"
-      "  --app=trapez|mmult|qsort|susan|susanpipe|fft\n"
-      "                                       model one benchmark "
-      "(default trapez)\n"
-      "  --all                                model every shipped "
-      "benchmark\n"
-      "  --graph=FILE                         model a ddmgraph file "
-      "(fixtures)\n"
-      "  --size=small|medium|large            (default small)\n"
-      "  --kernels=N                          modeled kernel count "
-      "(default 2)\n"
-      "  --unroll=N                           loop unroll factor "
-      "(default: per-app\n"
-      "                                       small config)\n"
-      "  --tsu-capacity=N                     TSU capacity (default: "
-      "per-app small\n"
-      "                                       config)\n"
-      "  --no-pipeline                        model the simulators' "
-      "TsuState protocol:\n"
-      "                                       synchronous Inlet loads "
-      "instead of\n"
-      "                                       promote-at-OutletDone (the "
-      "native runtime\n"
-      "                                       always pipelines)\n"
-      "  --mutate=drop-retire-guard|skip-shadow-promote|unordered-grant|"
-      "\n"
-      "           double-publish|replay-stale-update\n"
-      "                                       remove one protocol guard; "
-      "the run must\n"
-      "                                       find a counterexample\n"
-      "  --mutate-all                         the clean check plus every "
-      "mutation\n"
-      "  --no-replay                          skip the ddmcheck parity "
-      "replay\n"
-      "  --max-states=N                       exploration bound (default "
-      "1000000)\n"
-      "  --no-por                             disable partial-order "
-      "reduction\n"
-      "  --trace-out=FILE                     write the first "
-      "counterexample trace\n"
-      "  --cex-dir=DIR                        write every counterexample "
-      "as\n"
-      "                                       DIR/<program>-<mutation>."
-      "ddmtrace\n"
-      "  --quiet                              summaries only\n"
-      "  --help\n"
-      "Decision matrix: docs/CHECKING.md\n";
+  ModelCliOptions defaults;
+  return usage_text(model_command(defaults));
 }
 
 ModelCliOptions parse_model_args(const std::vector<std::string>& args) {
   ModelCliOptions options;
-  for (const std::string& arg : args) {
-    auto value_of = [&arg](const char* prefix) {
-      return arg.substr(std::string(prefix).size());
-    };
-    if (arg == "--help" || arg == "-h") {
-      options.help = true;
-    } else if (arg.rfind("--app=", 0) == 0) {
-      options.app = parse_app(value_of("--app="));
-    } else if (arg == "--all") {
-      options.all = true;
-    } else if (arg.rfind("--graph=", 0) == 0) {
-      options.graph_file = value_of("--graph=");
-    } else if (arg.rfind("--size=", 0) == 0) {
-      options.size = parse_size(value_of("--size="));
-    } else if (arg.rfind("--kernels=", 0) == 0) {
-      options.kernels = static_cast<std::uint16_t>(
-          parse_uint("--kernels", value_of("--kernels="), 64));
-      if (options.kernels == 0) {
-        throw TFluxError("tflux_model: --kernels must be >= 1");
-      }
-    } else if (arg.rfind("--unroll=", 0) == 0) {
-      options.unroll = static_cast<std::uint32_t>(
-          parse_uint("--unroll", value_of("--unroll="), 1u << 20));
-      if (options.unroll == 0) {
-        throw TFluxError("tflux_model: --unroll must be >= 1");
-      }
-    } else if (arg.rfind("--tsu-capacity=", 0) == 0) {
-      options.tsu_capacity = static_cast<std::uint32_t>(parse_uint(
-          "--tsu-capacity", value_of("--tsu-capacity="), 1u << 20));
-    } else if (arg == "--no-pipeline") {
-      options.pipelined = false;
-    } else if (arg.rfind("--mutate=", 0) == 0) {
-      const std::string name = value_of("--mutate=");
-      if (!core::parse_model_mutation(name, options.mutation)) {
-        throw TFluxError("tflux_model: unknown mutation '" + name +
-                         "'\n" + model_usage());
-      }
-    } else if (arg == "--mutate-all") {
-      options.mutate_all = true;
-    } else if (arg == "--no-replay") {
-      options.replay = false;
-    } else if (arg.rfind("--max-states=", 0) == 0) {
-      options.max_states = parse_uint("--max-states",
-                                      value_of("--max-states="),
-                                      std::uint64_t{1} << 40);
-    } else if (arg == "--no-por") {
-      options.por = false;
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      options.trace_out = value_of("--trace-out=");
-    } else if (arg.rfind("--cex-dir=", 0) == 0) {
-      options.cex_dir = value_of("--cex-dir=");
-    } else if (arg == "--quiet") {
-      options.quiet = true;
-    } else {
-      throw TFluxError("tflux_model: unknown option '" + arg + "'\n" +
-                       model_usage());
-    }
-  }
+  parse_command(model_command(options), args, options.help);
   return options;
 }
 
@@ -414,7 +319,7 @@ int run_model(const ModelCliOptions& options, std::ostream& out) {
           }
         }
         if (!options.trace_out.empty() && !wrote_first_cex) {
-          write_trace(options.trace_out, cex);
+          core::write_file(options.trace_out, core::save_trace(cex));
           wrote_first_cex = true;
           out << tag << ": counterexample written to "
               << options.trace_out << "\n";
@@ -425,7 +330,7 @@ int run_model(const ModelCliOptions& options, std::ostream& out) {
           const std::string path = options.cex_dir + "/" + target.display +
                                    "-" + core::to_string(mutation) +
                                    ".ddmtrace";
-          write_trace(path, cex);
+          core::write_file(path, core::save_trace(cex));
           if (!options.quiet) {
             out << tag << ": counterexample written to " << path << "\n";
           }

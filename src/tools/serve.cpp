@@ -1,11 +1,8 @@
 #include "tools/serve.h"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cmath>
-#include <cstring>
-#include <fstream>
 #include <future>
 #include <sstream>
 #include <thread>
@@ -15,48 +12,16 @@
 #include "core/error.h"
 #include "core/executor.h"
 #include "core/json.h"
-#include "core/spec.h"
 #include "runtime/executor.h"
 #include "runtime/runtime.h"
 #include "sim/rng.h"
+#include "tools/flags.h"
 
 namespace tflux::tools {
 
 using core::TFluxError;
 
 namespace {
-
-apps::AppKind parse_serve_app(const std::string& name) {
-  for (apps::AppKind kind : apps::all_apps()) {
-    std::string lower = apps::to_string(kind);
-    for (char& c : lower) c = static_cast<char>(std::tolower(c));
-    if (name == lower) return kind;
-  }
-  throw TFluxError("tflux_serve: unknown app '" + name +
-                   "' (trapez, mmult, qsort, susan, susanpipe, fft)");
-}
-
-apps::SizeClass parse_serve_size(const std::string& name) {
-  if (name == "small") return apps::SizeClass::kSmall;
-  if (name == "medium") return apps::SizeClass::kMedium;
-  if (name == "large") return apps::SizeClass::kLarge;
-  throw TFluxError("tflux_serve: unknown size '" + name +
-                   "' (small, medium, large)");
-}
-
-double parse_serve_double(const std::string& flag, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(value, &pos);
-    if (pos != value.size() || v < 0.0 || !std::isfinite(v)) {
-      throw std::invalid_argument(value);
-    }
-    return v;
-  } catch (const std::exception&) {
-    throw TFluxError("tflux_serve: " + flag +
-                     " expects a non-negative number, got '" + value + "'");
-  }
-}
 
 /// One completed request as the report sees it: open-loop latency is
 /// measured from the request's *scheduled arrival*, not from when the
@@ -70,141 +35,90 @@ struct RequestOutcome {
   bool guard_clean = true;
 };
 
-std::string json_app_list(const std::vector<apps::AppKind>& kinds) {
-  std::ostringstream out;
-  out << "[";
-  for (std::size_t i = 0; i < kinds.size(); ++i) {
-    std::string name = apps::to_string(kinds[i]);
-    for (char& c : name) c = static_cast<char>(std::tolower(c));
-    out << (i == 0 ? "" : ", ") << "\"" << core::json_escape(name) << "\"";
-  }
-  out << "]";
-  return out.str();
+Command serve_command(ServeOptions& o) {
+  Flag apps_flag{"--apps", "a,b,c",
+                 "benchmark mix, cycled round-robin (default "
+                 "trapez,mmult,qsort)",
+                 [&o](const std::string& value) {
+                   o.apps.clear();
+                   std::istringstream list(value);
+                   std::string name;
+                   while (std::getline(list, name, ',')) {
+                     if (!name.empty()) o.apps.push_back(apps::parse_app(name));
+                   }
+                   if (o.apps.empty()) {
+                     throw TFluxError("--apps expects at least one app");
+                   }
+                 }};
+  return Command{
+      "tflux_serve",
+      "",
+      {
+          uint_flag("--pool", "N", "resident kernel pool size (default 8)",
+                    o.pool_kernels, /*min_one=*/true),
+          uint_flag("--width", "W",
+                    "kernels per tenant partition (default 2); the pool "
+                    "serves floor(N/W) programs concurrently",
+                    o.partition_width, /*min_one=*/true),
+          tsu_groups_flag(o.tsu_groups,
+                          "TSU groups per partition (default 1)"),
+          shards_flag(o.shards,
+                      "sharded TSU per partition (default 0 = flat)"),
+          uint_flag("--queue", "N", "admission queue bound (default 64)",
+                    o.queue_capacity, /*min_one=*/true),
+          uint_flag("--stage-depth", "N",
+                    "instances admitted per partition at once (default 2)",
+                    o.stage_depth, /*min_one=*/true),
+          uint_flag("--requests", "N", "requests to replay (default 64)",
+                    o.requests, /*min_one=*/true),
+          double_flag("--rate", "R",
+                      "open-loop arrival rate, requests/second "
+                      "(exponential interarrivals; default 0 = closed "
+                      "loop)",
+                      o.rate),
+          apps_flag,
+          size_flag(o.size),
+          unroll_flag(o.unroll, "loop unroll factor (default 4)"),
+          tsu_capacity_flag(o.tsu_capacity,
+                            "DThreads per DDM block (default 64)"),
+          policy_flag(o.policy, "ready-thread policy (default locality)"),
+          guard_flag(o.guard,
+                     "per-instance ddmguard on every admitted run "
+                     "(default off)"),
+          no_dataplane_flag(o.dataplane,
+                            "skip the per-instance managed data plane "
+                            "(both modes)"),
+          switch_flag("--serial",
+                      "baseline: fresh full-pool Runtime per request, one "
+                      "at a time (no executor)",
+                      o.serial),
+          switch_flag("--check-tenant",
+                      "trace the mid-stream request and replay it through "
+                      "ddmcheck (exact counter reconciliation) while the "
+                      "other tenants are in flight",
+                      o.check_midstream),
+          trace_flag(o.trace_file,
+                     "also save the mid-stream ddmtrace (needs "
+                     "--check-tenant)"),
+          switch_flag("--no-validate", "skip the post-drain result validation",
+                      o.validate, false),
+          uint_flag("--seed", "N", "arrival-schedule RNG seed (default 1)",
+                    o.seed),
+          json_flag(o.json_file, "write a JSON serving summary"),
+      },
+      ""};
 }
 
 }  // namespace
 
 std::string serve_usage() {
-  return
-      "usage: tflux_serve [options]\n"
-      "  --pool=N              resident kernel pool size (default 8)\n"
-      "  --width=W             kernels per tenant partition (default 2);\n"
-      "                        the pool serves floor(N/W) programs "
-      "concurrently\n"
-      "  --tsu-groups=N        TSU groups per partition (default 1)\n"
-      "  --shards=K            sharded TSU per partition (default 0 = "
-      "flat)\n"
-      "  --queue=N             admission queue bound (default 64)\n"
-      "  --stage-depth=N       instances admitted per partition at once "
-      "(default 2)\n"
-      "  --requests=N          requests to replay (default 64)\n"
-      "  --rate=R              open-loop arrival rate, requests/second\n"
-      "                        (exponential interarrivals; default 0 = "
-      "closed loop)\n"
-      "  --apps=a,b,c          benchmark mix, cycled round-robin\n"
-      "                        (default trapez,mmult,qsort)\n"
-      "  --size=small|medium|large            (default small)\n"
-      "  --unroll=N            loop unroll factor (default 4)\n"
-      "  --tsu-capacity=N      DThreads per DDM block (default 64)\n"
-      "  --policy=fifo|locality|hier|affinity\n"
-      "  --guard=off|sampled[:N]|full\n"
-      "                        per-instance ddmguard on every admitted "
-      "run\n"
-      "  --no-dataplane        skip the per-instance managed data plane "
-      "(both modes)\n"
-      "  --serial              baseline: fresh full-pool Runtime per "
-      "request,\n"
-      "                        one at a time (no executor)\n"
-      "  --check-tenant        trace the mid-stream request and replay "
-      "it through\n"
-      "                        ddmcheck (exact counter reconciliation) "
-      "while the\n"
-      "                        other tenants are in flight\n"
-      "  --trace=FILE          also save the mid-stream ddmtrace "
-      "(needs --check-tenant)\n"
-      "  --no-validate         skip the post-drain result validation\n"
-      "  --seed=N              arrival-schedule RNG seed (default 1)\n"
-      "  --json=FILE           write a JSON serving summary\n"
-      "  --help\n";
+  ServeOptions defaults;
+  return usage_text(serve_command(defaults));
 }
 
 ServeOptions parse_serve_args(const std::vector<std::string>& args) {
   ServeOptions options;
-  for (const std::string& arg : args) {
-    auto value_of = [&arg](const char* prefix) {
-      return arg.substr(std::string(prefix).size());
-    };
-    // `--flag=N` into `field`, bounded by the field's type.
-    auto uint_flag = [&arg](const char* flag, bool min_one, auto& field) {
-      core::parse_flag_uint("tflux_serve", flag,
-                            arg.substr(std::strlen(flag) + 1), min_one,
-                            field);
-    };
-    if (arg == "--help" || arg == "-h") {
-      options.help = true;
-    } else if (arg.rfind("--pool=", 0) == 0) {
-      uint_flag("--pool", /*min_one=*/true, options.pool_kernels);
-    } else if (arg.rfind("--width=", 0) == 0) {
-      uint_flag("--width", /*min_one=*/true, options.partition_width);
-    } else if (arg.rfind("--tsu-groups=", 0) == 0) {
-      uint_flag("--tsu-groups", /*min_one=*/false, options.tsu_groups);
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      uint_flag("--shards", /*min_one=*/false, options.shards);
-    } else if (arg.rfind("--queue=", 0) == 0) {
-      uint_flag("--queue", /*min_one=*/true, options.queue_capacity);
-    } else if (arg.rfind("--stage-depth=", 0) == 0) {
-      uint_flag("--stage-depth", /*min_one=*/true, options.stage_depth);
-    } else if (arg.rfind("--requests=", 0) == 0) {
-      uint_flag("--requests", /*min_one=*/true, options.requests);
-    } else if (arg.rfind("--rate=", 0) == 0) {
-      options.rate = parse_serve_double("--rate", value_of("--rate="));
-    } else if (arg.rfind("--apps=", 0) == 0) {
-      options.apps.clear();
-      std::istringstream list(value_of("--apps="));
-      std::string name;
-      while (std::getline(list, name, ',')) {
-        if (!name.empty()) options.apps.push_back(parse_serve_app(name));
-      }
-      if (options.apps.empty()) {
-        throw TFluxError("tflux_serve: --apps expects at least one app");
-      }
-    } else if (arg.rfind("--size=", 0) == 0) {
-      options.size = parse_serve_size(value_of("--size="));
-    } else if (arg.rfind("--unroll=", 0) == 0) {
-      uint_flag("--unroll", /*min_one=*/true, options.unroll);
-    } else if (arg.rfind("--tsu-capacity=", 0) == 0) {
-      uint_flag("--tsu-capacity", /*min_one=*/false, options.tsu_capacity);
-    } else if (arg.rfind("--policy=", 0) == 0) {
-      if (!core::parse_policy(value_of("--policy="), options.policy)) {
-        throw TFluxError("tflux_serve: unknown policy '" +
-                         value_of("--policy=") +
-                         "' (fifo, locality, hier, affinity)");
-      }
-    } else if (arg.rfind("--guard=", 0) == 0) {
-      if (!core::parse_guard_spec(value_of("--guard="), options.guard)) {
-        throw TFluxError("tflux_serve: --guard expects off, sampled, "
-                         "sampled:N (N >= 1) or full, got '" +
-                         value_of("--guard=") + "'");
-      }
-    } else if (arg == "--no-dataplane") {
-      options.dataplane = false;
-    } else if (arg == "--serial") {
-      options.serial = true;
-    } else if (arg == "--check-tenant") {
-      options.check_midstream = true;
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      options.trace_file = value_of("--trace=");
-    } else if (arg == "--no-validate") {
-      options.validate = false;
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      uint_flag("--seed", /*min_one=*/false, options.seed);
-    } else if (arg.rfind("--json=", 0) == 0) {
-      options.json_file = value_of("--json=");
-    } else {
-      throw TFluxError("tflux_serve: unknown option '" + arg + "'\n" +
-                       serve_usage());
-    }
-  }
+  parse_command(serve_command(options), args, options.help);
   if (options.partition_width > options.pool_kernels) {
     throw TFluxError("tflux_serve: --width must be <= --pool");
   }
@@ -471,16 +385,12 @@ int run_serve(const ServeOptions& options, std::ostream& out,
         << " completions vs " << executed << ")\n";
     check_failed = !report.clean() || !check_reconciled;
     if (!options.trace_file.empty()) {
-      std::string app_name =
-          apps::to_string(options.apps[which % options.apps.size()]);
-      std::string size_name = apps::to_string(options.size);
-      for (char& c : app_name) c = static_cast<char>(std::tolower(c));
-      for (char& c : size_name) c = static_cast<char>(std::tolower(c));
-      midstream_trace.app = app_name;
-      midstream_trace.size = size_name;
+      midstream_trace.app =
+          apps::cli_name(options.apps[which % options.apps.size()]);
+      midstream_trace.size = apps::cli_name(options.size);
       midstream_trace.unroll = options.unroll;
       midstream_trace.tsu_capacity = options.tsu_capacity;
-      std::ofstream(options.trace_file) << core::save_trace(midstream_trace);
+      core::write_file(options.trace_file, core::save_trace(midstream_trace));
       out << "  wrote " << options.trace_file << " ("
           << midstream_trace.records.size() << " records)\n";
     }
@@ -518,62 +428,54 @@ int run_serve(const ServeOptions& options, std::ostream& out,
   }
 
   if (!options.json_file.empty()) {
-    std::ostringstream json;
-    json << "{\n"
-         << "  \"mode\": \"" << (options.serial ? "serial" : "executor")
-         << "\",\n"
-         << "  \"pool_kernels\": " << options.pool_kernels << ",\n"
-         << "  \"partition_width\": " << run_width << ",\n"
-         << "  \"tenants\": "
-         << (options.serial ? 1
-                            : options.pool_kernels / options.partition_width)
-         << ",\n"
-         << "  \"stage_depth\": " << options.stage_depth << ",\n"
-         << "  \"requests\": " << options.requests << ",\n"
-         << "  \"offered_rate_rps\": " << options.rate << ",\n"
-         << "  \"apps\": " << json_app_list(options.apps) << ",\n"
-         << "  \"size\": \"" << [&] {
-              std::string s = apps::to_string(options.size);
-              for (char& c : s) c = static_cast<char>(std::tolower(c));
-              return core::json_escape(s);
-            }() << "\",\n"
-         << "  \"unroll\": " << options.unroll << ",\n"
-         << "  \"guard\": \"" << core::to_string(options.guard.mode)
-         << "\",\n"
-         << "  \"wall_seconds\": " << wall_seconds << ",\n"
-         << "  \"throughput_rps\": " << throughput << ",\n"
-         << "  \"latency_seconds\": {\n"
-         << "    \"mean\": " << latency.mean_seconds << ",\n"
-         << "    \"p50\": " << latency.p50_seconds << ",\n"
-         << "    \"p90\": " << latency.p90_seconds << ",\n"
-         << "    \"p99\": " << latency.p99_seconds << ",\n"
-         << "    \"p999\": " << latency.p999_seconds << ",\n"
-         << "    \"max\": " << latency.max_seconds << "\n"
-         << "  },\n"
-         << "  \"queue_depth_peak\": " << queue_depth_peak << ",\n"
-         << "  \"rejected\": " << rejected << ",\n"
-         << "  \"fairness_ratio\": " << fairness << ",\n"
-         << "  \"tenant_shares\": [";
-    for (std::size_t t = 0; t < shares.size(); ++t) {
-      json << (t == 0 ? "\n" : ",\n") << "    {\"tenant\": "
-           << shares[t].tenant << ", \"runs\": " << shares[t].runs
-           << ", \"busy_seconds\": " << shares[t].busy_seconds << "}";
+    core::JsonWriter json;
+    json.begin_object()
+        .field("mode", options.serial ? "serial" : "executor")
+        .field("pool_kernels", options.pool_kernels)
+        .field("partition_width", run_width)
+        .field("tenants",
+               options.serial ? 1
+                              : options.pool_kernels / options.partition_width)
+        .field("stage_depth", options.stage_depth)
+        .field("requests", options.requests)
+        .field("offered_rate_rps", options.rate)
+        .begin_array("apps");
+    for (apps::AppKind kind : options.apps) json.value(apps::cli_name(kind));
+    json.end_array()
+        .field("size", apps::cli_name(options.size))
+        .field("unroll", options.unroll)
+        .field("guard", core::to_string(options.guard.mode))
+        .field("wall_seconds", wall_seconds)
+        .field("throughput_rps", throughput)
+        .begin_object("latency_seconds")
+        .field("mean", latency.mean_seconds)
+        .field("p50", latency.p50_seconds)
+        .field("p90", latency.p90_seconds)
+        .field("p99", latency.p99_seconds)
+        .field("p999", latency.p999_seconds)
+        .field("max", latency.max_seconds)
+        .end_object()
+        .field("queue_depth_peak", queue_depth_peak)
+        .field("rejected", rejected)
+        .field("fairness_ratio", fairness)
+        .begin_array("tenant_shares");
+    for (const core::TenantShare& share : shares) {
+      json.begin_object()
+          .field("tenant", share.tenant)
+          .field("runs", share.runs)
+          .field("busy_seconds", share.busy_seconds)
+          .end_object();
     }
-    json << "\n  ],\n"
-         << "  \"check\": {\n"
-         << "    \"enabled\": "
-         << (options.check_midstream ? "true" : "false") << ",\n"
-         << "    \"findings\": " << check_findings << ",\n"
-         << "    \"reconciled\": " << (check_reconciled ? "true" : "false")
-         << "\n"
-         << "  },\n"
-         << "  \"guard_clean\": " << (guard_failed ? "false" : "true")
-         << ",\n"
-         << "  \"validated\": "
-         << (options.validate && !validate_failed ? "true" : "false")
-         << "\n"
-         << "}\n";
-    std::ofstream(options.json_file) << json.str();
+    json.end_array()
+        .begin_object("check")
+        .field("enabled", options.check_midstream)
+        .field("findings", check_findings)
+        .field("reconciled", check_reconciled)
+        .end_object()
+        .field("guard_clean", !guard_failed)
+        .field("validated", options.validate && !validate_failed)
+        .end_object();
+    core::write_file(options.json_file, json.str());
     out << "  wrote " << options.json_file << "\n";
   }
 

@@ -1,18 +1,8 @@
 // tflux_check: verify a recorded DDM execution trace (ddmcheck).
-#include <cstdio>
-#include <iostream>
-
-#include "core/error.h"
 #include "tools/check.h"
+#include "tools/flags.h"
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-  try {
-    const tflux::tools::CheckCliOptions options =
-        tflux::tools::parse_check_args(args);
-    return tflux::tools::run_check(options, std::cout);
-  } catch (const tflux::core::TFluxError& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
+  return tflux::tools::tool_main(argc, argv, tflux::tools::parse_check_args,
+                                 tflux::tools::run_check);
 }

@@ -1,19 +1,8 @@
 // tflux_lint: ddmlint static verifier CLI. See tools/lint.h.
-#include <iostream>
-#include <string>
-#include <vector>
-
-#include "core/error.h"
 #include "tools/lint.h"
+#include "tools/flags.h"
 
 int main(int argc, char** argv) {
-  try {
-    const std::vector<std::string> args(argv + 1, argv + argc);
-    const tflux::tools::LintOptions options =
-        tflux::tools::parse_lint_args(args);
-    return tflux::tools::run_lint(options, std::cout);
-  } catch (const tflux::core::TFluxError& e) {
-    std::cerr << e.what() << "\n";
-    return 2;
-  }
+  return tflux::tools::tool_main(argc, argv, tflux::tools::parse_lint_args,
+                                 tflux::tools::run_lint);
 }

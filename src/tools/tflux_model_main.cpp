@@ -1,20 +1,9 @@
 // tflux_model: ddmmodel bounded exhaustive model checker CLI. See
 // tools/model.h.
-#include <iostream>
-#include <string>
-#include <vector>
-
-#include "core/error.h"
 #include "tools/model.h"
+#include "tools/flags.h"
 
 int main(int argc, char** argv) {
-  try {
-    const std::vector<std::string> args(argv + 1, argv + argc);
-    const tflux::tools::ModelCliOptions options =
-        tflux::tools::parse_model_args(args);
-    return tflux::tools::run_model(options, std::cout);
-  } catch (const tflux::core::TFluxError& e) {
-    std::cerr << e.what() << "\n";
-    return 2;
-  }
+  return tflux::tools::tool_main(argc, argv, tflux::tools::parse_model_args,
+                                 tflux::tools::run_model);
 }

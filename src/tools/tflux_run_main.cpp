@@ -1,17 +1,8 @@
 // tflux_run: run any Table-1 benchmark on any TFlux platform.
-#include <cstdio>
-#include <iostream>
-
-#include "core/error.h"
 #include "tools/cli.h"
+#include "tools/flags.h"
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-  try {
-    const tflux::tools::CliOptions options = tflux::tools::parse_args(args);
-    return tflux::tools::run_cli(options, std::cout);
-  } catch (const tflux::core::TFluxError& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
+  return tflux::tools::tool_main(argc, argv, tflux::tools::parse_args,
+                                 tflux::tools::run_cli);
 }

@@ -1,19 +1,12 @@
 // tflux_serve: replay an open-loop request stream against the
 // resident multi-program executor (or the serial per-request baseline).
-#include <cstdio>
-#include <iostream>
-
-#include "core/error.h"
+#include "tools/flags.h"
 #include "tools/serve.h"
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-  try {
-    const tflux::tools::ServeOptions options =
-        tflux::tools::parse_serve_args(args);
-    return tflux::tools::run_serve(options, std::cout);
-  } catch (const tflux::core::TFluxError& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
+  return tflux::tools::tool_main(
+      argc, argv, tflux::tools::parse_serve_args,
+      [](const tflux::tools::ServeOptions& options, std::ostream& out) {
+        return tflux::tools::run_serve(options, out);
+      });
 }

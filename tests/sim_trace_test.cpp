@@ -31,11 +31,11 @@ TEST(TraceTest, ChromeJsonShape) {
   trace.set_lane_name(0, "kernel 0");
   trace.add_span(0, 5, 9, "t\"x\"");  // name needs escaping
   const std::string json = trace.to_chrome_json();
-  EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"M\""), std::string::npos);  // lane meta
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);  // span
-  EXPECT_NE(json.find("\"ts\":5"), std::string::npos);
-  EXPECT_NE(json.find("\"dur\":4"), std::string::npos);
+  EXPECT_NE(json.find("\"traceEvents\": ["), std::string::npos);
+  EXPECT_NE(json.find("\"ph\": \"M\""), std::string::npos);  // lane meta
+  EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);  // span
+  EXPECT_NE(json.find("\"ts\": 5"), std::string::npos);
+  EXPECT_NE(json.find("\"dur\": 4"), std::string::npos);
   EXPECT_NE(json.find("t\\\"x\\\""), std::string::npos);  // escaped
   EXPECT_EQ(json.find('\n'), std::string::npos);  // single line, valid JSON
 }
