@@ -26,13 +26,36 @@ std::uint64_t footprint_overlap_bytes(const Footprint& producer,
   return total;
 }
 
+namespace {
+
+/// (row, entry) pairs in push order, turned into a CsrTable by a
+/// stable counting sort: each row keeps its entries' push order.
+template <typename T>
+CsrTable<T> to_csr(std::size_t rows,
+                   const std::vector<std::pair<ThreadId, T>>& items) {
+  CsrTable<T> table;
+  table.offsets.assign(rows + 1, 0);
+  for (const auto& item : items) ++table.offsets[item.first + 1];
+  for (std::size_t r = 0; r < rows; ++r) {
+    table.offsets[r + 1] += table.offsets[r];
+  }
+  table.entries.resize(items.size());
+  std::vector<std::uint32_t> cursor(table.offsets.begin(),
+                                    table.offsets.end() - 1);
+  for (const auto& item : items) {
+    table.entries[cursor[item.first]++] = item.second;
+  }
+  return table;
+}
+
+}  // namespace
+
 DataPlane::DataPlane(const Program& program, const ShardMap* shards)
     : program_(program),
       shards_(shards),
-      contributions_(program.num_threads()),
-      forwards_(program.num_threads()),
       exec_kernel_(new std::atomic<KernelId>[program.num_threads()]) {
-  for (ThreadId t = 0; t < program.num_threads(); ++t) {
+  const std::size_t n = program.num_threads();
+  for (ThreadId t = 0; t < n; ++t) {
     exec_kernel_[t].store(kInvalidKernel, std::memory_order_relaxed);
   }
 
@@ -43,18 +66,27 @@ DataPlane::DataPlane(const Program& program, const ShardMap* shards)
     return footprint_overlap_bytes(pt.footprint, ct.footprint);
   };
 
+  // (consumer, contribution) and (producer, forward) in push order,
+  // each at most one per arc.
+  std::vector<std::pair<ThreadId, Contribution>> contributions;
+  std::vector<std::pair<ThreadId, ForwardRun>> forwards;
+  std::size_t arcs_total = program.cross_block_arcs().size();
+  for (const DThread& t : program.threads()) arcs_total += t.consumers.size();
+  contributions.reserve(arcs_total);
+  forwards.reserve(arcs_total);
+
   // Same-block arcs: consumer lists and the PR 5 precomputed runs.
   for (const DThread& t : program.threads()) {
     if (!t.is_application()) continue;
     for (const DThread::ConsumerRun& run : t.consumer_runs) {
       std::uint64_t bytes = 0;
       for (ThreadId c = run.lo; c <= run.hi; ++c) bytes += overlap(t.id, c);
-      if (bytes > 0) forwards_[t.id].push_back({run.lo, run.hi, bytes});
+      if (bytes > 0) forwards.push_back({t.id, {run.lo, run.hi, bytes}});
     }
     for (ThreadId c : t.consumers) {
       const std::uint64_t b = overlap(t.id, c);
       if (b == 0) continue;
-      contributions_[c].push_back({t.id, b});
+      contributions.push_back({c, {t.id, b}});
     }
   }
 
@@ -62,20 +94,25 @@ DataPlane::DataPlane(const Program& program, const ShardMap* shards)
   // data they imply still moves; batch them like the same-block runs:
   // maximal consecutive-id runs, split at consumer block boundaries
   // (a forward never spans two block activations).
-  std::vector<std::vector<ThreadId>> xconsumers(program.num_threads());
+  std::vector<std::pair<ThreadId, ThreadId>> arcs;
+  arcs.reserve(program.cross_block_arcs().size());
   for (const CrossBlockArc& arc : program.cross_block_arcs()) {
-    xconsumers[arc.producer].push_back(arc.consumer);
+    arcs.push_back({arc.producer, arc.consumer});
   }
-  for (ThreadId p = 0; p < program.num_threads(); ++p) {
-    std::vector<ThreadId>& cs = xconsumers[p];
-    if (cs.empty()) continue;
-    std::sort(cs.begin(), cs.end());
-    cs.erase(std::unique(cs.begin(), cs.end()), cs.end());
-    std::vector<std::uint64_t> bytes(cs.size(), 0);
+  CsrTable<ThreadId> xconsumers = to_csr(n, arcs);
+  std::vector<std::uint64_t> bytes;
+  for (ThreadId p = 0; p < n; ++p) {
+    const auto first = xconsumers.entries.begin() + xconsumers.offsets[p];
+    auto last = xconsumers.entries.begin() + xconsumers.offsets[p + 1];
+    if (first == last) continue;
+    std::sort(first, last);
+    last = std::unique(first, last);
+    const std::span<const ThreadId> cs(first, last);
+    bytes.assign(cs.size(), 0);
     for (std::size_t i = 0; i < cs.size(); ++i) {
       bytes[i] = overlap(p, cs[i]);
       if (bytes[i] == 0) continue;
-      contributions_[cs[i]].push_back({p, bytes[i]});
+      contributions.push_back({cs[i], {p, bytes[i]}});
     }
     std::size_t i = 0;
     while (i < cs.size()) {
@@ -86,10 +123,12 @@ DataPlane::DataPlane(const Program& program, const ShardMap* shards)
         ++j;
         run_bytes += bytes[j];
       }
-      if (run_bytes > 0) forwards_[p].push_back({cs[i], cs[j], run_bytes});
+      if (run_bytes > 0) forwards.push_back({p, {cs[i], cs[j], run_bytes}});
       i = j + 1;
     }
   }
+  contributions_ = to_csr(n, contributions);
+  forwards_ = to_csr(n, forwards);
 }
 
 namespace {
@@ -99,7 +138,7 @@ namespace {
 /// full per-kernel array reset).
 using WarmList = std::vector<std::pair<KernelId, std::uint64_t>>;
 
-void collect_warm(const std::vector<Contribution>& contribs,
+void collect_warm(std::span<const Contribution> contribs,
                   const std::atomic<KernelId>* exec, WarmList& touched) {
   touched.clear();
   for (const Contribution& c : contribs) {
@@ -121,7 +160,7 @@ void collect_warm(const std::vector<Contribution>& contribs,
 
 AffinityScore DataPlane::score(ThreadId consumer) const {
   static thread_local WarmList touched;
-  collect_warm(contributions_[consumer], exec_kernel_.get(), touched);
+  collect_warm(contributions_.row(consumer), exec_kernel_.get(), touched);
   AffinityScore s;
   for (const auto& [k, b] : touched) {
     s.total_bytes += b;
@@ -136,7 +175,7 @@ AffinityScore DataPlane::score(ThreadId consumer) const {
 DataPlane::DispatchAccount DataPlane::account_dispatch(ThreadId consumer,
                                                        KernelId target) const {
   static thread_local WarmList touched;
-  collect_warm(contributions_[consumer], exec_kernel_.get(), touched);
+  collect_warm(contributions_.row(consumer), exec_kernel_.get(), touched);
   DispatchAccount account;
   std::uint64_t target_bytes = 0;
   std::uint64_t max_bytes = 0;

@@ -29,6 +29,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/program.h"
@@ -63,6 +64,19 @@ struct Contribution {
   friend bool operator==(const Contribution&, const Contribution&) = default;
 };
 
+/// A static per-thread table in compressed sparse rows: row r's entries
+/// are entries[offsets[r], offsets[r + 1]). Two flat arrays instead of
+/// one heap block per row.
+template <typename T>
+struct CsrTable {
+  std::vector<std::uint32_t> offsets;  ///< rows + 1 entries
+  std::vector<T> entries;
+
+  std::span<const T> row(std::size_t r) const {
+    return {entries.data() + offsets[r], entries.data() + offsets[r + 1]};
+  }
+};
+
 /// Affinity score of a consumer against the current execution record.
 struct AffinityScore {
   /// Kernel holding the largest share of the consumer's input bytes;
@@ -83,15 +97,15 @@ class DataPlane {
   /// Producers feeding `consumer` (same-block and cross-block arcs),
   /// with per-arc payload bytes. Arcs whose footprints do not overlap
   /// (or overlap only through zero-byte ranges) are omitted.
-  const std::vector<Contribution>& contributions(ThreadId consumer) const {
-    return contributions_[consumer];
+  std::span<const Contribution> contributions(ThreadId consumer) const {
+    return contributions_.row(consumer);
   }
 
   /// Bulk forwards `producer` performs on completion: one per
   /// coalesced [lo, hi] consumer run. Zero-payload runs are already
   /// gone.
-  const std::vector<ForwardRun>& forward_runs(ThreadId producer) const {
-    return forwards_[producer];
+  std::span<const ForwardRun> forward_runs(ThreadId producer) const {
+    return forwards_.row(producer);
   }
 
   // -- dynamic execution record ---------------------------------------
@@ -135,8 +149,8 @@ class DataPlane {
  private:
   const Program& program_;
   const ShardMap* shards_;
-  std::vector<std::vector<Contribution>> contributions_;
-  std::vector<std::vector<ForwardRun>> forwards_;
+  CsrTable<Contribution> contributions_;  ///< row = consumer
+  CsrTable<ForwardRun> forwards_;         ///< row = producer
   std::unique_ptr<std::atomic<KernelId>[]> exec_kernel_;
 };
 

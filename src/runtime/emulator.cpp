@@ -448,7 +448,7 @@ void TsuEmulator::activate_block(core::BlockId block, bool dispatch_inlet) {
   maybe_prefetch();
 }
 
-void TsuEmulator::run() {
+void TsuEmulator::start() {
   // Stage block 0 before anything executes, so the coordinator's
   // activation (and every other group's first LoadBlock) is a hit.
   sm_.preload_shadow(0, options_.group);
@@ -458,66 +458,75 @@ void TsuEmulator::run() {
     // load became the flip above).
     activate_block(0, /*dispatch_inlet=*/true);
   }
+}
 
-  std::vector<TubEntry> buf;
-  for (;;) {
-    tub_.wait_nonempty();
-    buf.clear();
-    if (tub_.drain(buf) == 0) continue;
-    ++stats_.drain_sweeps;
-    for (const TubEntry& e : buf) {
-      switch (e.kind) {
-        case TubEntry::Kind::kLoadBlock: {
-          const auto block = static_cast<core::BlockId>(e.id);
-          // The Inlet is pure accounting, so nothing orders its
-          // broadcast before the block's OutletDone: a backlogged Inlet
-          // of block b may land after the coordinator already chained
-          // past b. Any broadcast at or behind the current block is
-          // stale; re-activating would re-dispatch that block's first
-          // wave.
-          if (my_block_ != core::kInvalidBlock && block <= my_block_) {
-            break;
-          }
-          activate_block(block, /*dispatch_inlet=*/false);
+std::size_t TsuEmulator::step() {
+  drained_.clear();
+  const std::size_t n = tub_.drain(drained_);
+  if (n == 0) return 0;
+  ++stats_.drain_sweeps;
+  for (const TubEntry& e : drained_) {
+    switch (e.kind) {
+      case TubEntry::Kind::kLoadBlock: {
+        const auto block = static_cast<core::BlockId>(e.id);
+        // The Inlet is pure accounting, so nothing orders its
+        // broadcast before the block's OutletDone: a backlogged Inlet
+        // of block b may land after the coordinator already chained
+        // past b. Any broadcast at or behind the current block is
+        // stale; re-activating would re-dispatch that block's first
+        // wave.
+        if (my_block_ != core::kInvalidBlock && block <= my_block_) {
           break;
         }
-        case TubEntry::Kind::kUpdate:
-        case TubEntry::Kind::kRangeUpdate: {
-          handle_update(e);
-          break;
+        activate_block(block, /*dispatch_inlet=*/false);
+        break;
+      }
+      case TubEntry::Kind::kUpdate:
+      case TubEntry::Kind::kRangeUpdate: {
+        handle_update(e);
+        break;
+      }
+      case TubEntry::Kind::kStealGrant: {
+        dispatch_steal_grant(static_cast<core::ThreadId>(e.id));
+        break;
+      }
+      case TubEntry::Kind::kOutletDone: {
+        // Routed to group 0 only (the block-chaining coordinator).
+        assert(options_.group == 0);
+        const auto block = static_cast<core::BlockId>(e.id);
+        // Retire before chaining: any update published to this block
+        // from here on is provably stale.
+        guard_.retire(block);
+        const auto next = static_cast<core::BlockId>(block + 1);
+        if (next < program_.num_blocks()) {
+          // Coordinator fast path: flip to the (pre)staged next block
+          // and push its first wave right now, instead of waiting a
+          // full kernel round trip for the Inlet.
+          activate_block(next, /*dispatch_inlet=*/true);
+        } else {
+          // Program finished: every emulator (including this one)
+          // receives the shutdown through its TUB.
+          tubs_.broadcast_shutdown();
         }
-        case TubEntry::Kind::kStealGrant: {
-          dispatch_steal_grant(static_cast<core::ThreadId>(e.id));
-          break;
+        break;
+      }
+      case TubEntry::Kind::kShutdown: {
+        for (core::KernelId k : my_kernels_) {
+          mailboxes_[k].put(core::kInvalidThread);
         }
-        case TubEntry::Kind::kOutletDone: {
-          // Routed to group 0 only (the block-chaining coordinator).
-          assert(options_.group == 0);
-          const auto block = static_cast<core::BlockId>(e.id);
-          // Retire before chaining: any update published to this block
-          // from here on is provably stale.
-          guard_.retire(block);
-          const auto next = static_cast<core::BlockId>(block + 1);
-          if (next < program_.num_blocks()) {
-            // Coordinator fast path: flip to the (pre)staged next block
-            // and push its first wave right now, instead of waiting a
-            // full kernel round trip for the Inlet.
-            activate_block(next, /*dispatch_inlet=*/true);
-          } else {
-            // Program finished: every emulator (including this one)
-            // receives the shutdown through its TUB.
-            tubs_.broadcast_shutdown();
-          }
-          break;
-        }
-        case TubEntry::Kind::kShutdown: {
-          for (core::KernelId k : my_kernels_) {
-            mailboxes_[k].put(core::kInvalidThread);
-          }
-          return;
-        }
+        shut_down_ = true;
+        return n;
       }
     }
+  }
+  return n;
+}
+
+void TsuEmulator::run() {
+  start();
+  while (!shut_down_) {
+    tub_.wait_nonempty();
+    step();
   }
 }
 

@@ -1,10 +1,18 @@
 // The TSU Emulator: the software implementation of the TSU Group
-// (TFluxSoft, paper section 4.2). One emulator thread drains its TUB,
+// (TFluxSoft, paper section 4.2). The emulator is a step-driven state
+// machine: start() arms the run, each step() drains its TUB once,
 // applies Ready Count updates to the Synchronization Memories of the
 // kernels it owns (via the TKT, or by sequential search when Thread
 // Indexing is disabled), and dispatches DThreads that become ready to
 // those kernels' mailboxes, preferring the DThread's home Kernel
 // (spatial locality).
+//
+// Two loops share that one protocol code. With two or more kernels
+// each emulator owns a thread (run(): wait for TUB traffic, then
+// step()), so TSU work overlaps the kernels' execution as in the
+// paper's Figure 4. With one kernel there is nothing to overlap with:
+// the kernel's own thread calls start() and then step() after every
+// DThread (Kernel::run_inline), with no cross-thread handoff at all.
 //
 // Multiple TSU Groups (the section 4.1 extension, software flavor):
 // emulator g owns the kernels the run's ShardMap (held by the
@@ -174,9 +182,21 @@ class TsuEmulator {
               SyncMemoryGroup& sm, std::deque<Mailbox>& mailboxes,
               Options options);
 
-  /// Thread main. Emulator 0 arms the program (activates block 0 /
-  /// dispatches its Inlet); every emulator processes its TUB until the
-  /// shutdown broadcast, then releases its kernels and returns.
+  /// Stage block 0; emulator 0 also arms the program (activates block
+  /// 0 and dispatches its Inlet and first wave). Once per run, before
+  /// the first step().
+  void start();
+
+  /// Drain the TUB once and apply every drained entry; at the shutdown
+  /// broadcast, release this group's kernels (one exit sentinel each).
+  /// Returns the number of entries drained (0 = the TUB was empty).
+  /// Never waits.
+  std::size_t step();
+
+  /// Dedicated-thread main: start(), then wait for TUB traffic and
+  /// step() until the shutdown broadcast. A run with one kernel skips
+  /// this thread: its kernel calls start() and step() itself
+  /// (Kernel::run_inline).
   void run();
 
   const EmulatorStats& stats() const { return stats_; }
@@ -267,6 +287,9 @@ class TsuEmulator {
   /// that next-block updates go straight to the shadow generation).
   /// Replayed at the next activation.
   std::vector<TubEntry> deferred_updates_;
+  /// Reused scratch: the entries one step() drained.
+  std::vector<TubEntry> drained_;
+  bool shut_down_ = false;  ///< step() applied the shutdown broadcast
   /// Reused scratch: members a range sweep drove to zero, pending
   /// dispatch.
   std::vector<core::ThreadId> zeroed_;

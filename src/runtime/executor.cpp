@@ -49,8 +49,9 @@ struct Executor::Impl {
     /// First worker to pick the instance up stamps started_at.
     std::atomic<bool> started{false};
     std::chrono::steady_clock::time_point started_at{};
-    /// Roles still running; the worker that decrements this to zero
-    /// finalizes the result.
+    /// Roles still running (RunFrame::roles(): W + G, or 1 at width
+    /// 1); the worker that decrements this to zero finalizes the
+    /// result.
     std::atomic<int> remaining{0};
 
     /// The frame's TraceLog never arms the process-global emergency
@@ -65,8 +66,7 @@ struct Executor::Impl {
           handle(request.handle),
           tenant(tenant_),
           submitted_at(submitted) {
-      remaining.store(frame.width() + frame.groups(),
-                      std::memory_order_relaxed);
+      remaining.store(frame.roles(), std::memory_order_relaxed);
     }
   };
 
@@ -83,7 +83,7 @@ struct Executor::Impl {
 
   struct Partition {
     core::TenantPartition part;
-    std::deque<WorkerChannel> channels;  // width + groups entries
+    std::deque<WorkerChannel> channels;  // one per role
     std::vector<std::thread> threads;
     /// Instances admitted and not yet finalized (guarded by mu_).
     std::uint16_t inflight = 0;
@@ -151,15 +151,13 @@ struct Executor::Impl {
     if (options.queue_capacity == 0) {
       throw core::TFluxError("Executor: queue_capacity must be >= 1");
     }
-    // Every instance's RunFrame resolves the same map; its group count
-    // sizes the partition's emulator roles (and rejects a tsu_groups
-    // or shards count the partition width cannot hold).
-    const std::uint16_t groups =
-        core::ShardMap::resolve(options.partition_width,
-                                options.run.tsu_groups, options.run.shards)
-            .num_shards();
-    const std::uint16_t roles =
-        static_cast<std::uint16_t>(options.partition_width + groups);
+    // Every instance's RunFrame resolves the same map; it sizes the
+    // partition's roles (and rejects a tsu_groups or shards count the
+    // partition width cannot hold).
+    const core::ShardMap map = core::ShardMap::resolve(
+        options.partition_width, options.run.tsu_groups, options.run.shards);
+    const std::uint16_t groups = map.num_shards();
+    const std::uint16_t roles = run_roles(map);
     for (const core::TenantPartition& part : plan) {
       partitions.emplace_back();
       partitions.back().part = part;
@@ -224,11 +222,7 @@ struct Executor::Impl {
                                                 std::memory_order_acq_rel)) {
         inst->started_at = std::chrono::steady_clock::now();
       }
-      if (role < options.partition_width) {
-        inst->frame.kernels()[role].run();
-      } else {
-        inst->frame.emulators()[role - options.partition_width].run();
-      }
+      inst->frame.run_role(role);
       if (inst->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         finalize(p, *inst);
       }

@@ -18,6 +18,13 @@
 // concurrent run's trace replays standalone through tflux_check with
 // exact counter reconciliation.
 //
+// Threads: a partition of width W >= 2 keeps W kernel workers plus
+// one emulator worker per TSU Group (W + G roles), so TSU work
+// overlaps execution. A width-1 partition keeps one worker: its
+// kernel drives the instance's emulator itself (Kernel::run_inline),
+// so a request pays no cross-thread TUB or mailbox handoff per
+// DThread.
+//
 // Admission: submit() enqueues into a bounded queue (blocking when
 // full - backpressure; try_submit() sheds instead). A dispatcher
 // thread admits requests to partitions, skipping programs that are
@@ -108,8 +115,9 @@ struct ExecutorStats {
 
 class Executor {
  public:
-  /// The registry must outlive the executor. Worker threads (width +
-  /// tsu_groups per partition) start resident and idle immediately.
+  /// The registry must outlive the executor. Worker threads (one per
+  /// role: width + TSU groups per partition, or one for a width-1
+  /// partition) start resident and idle immediately.
   Executor(core::ProgramRegistry& registry, ExecutorOptions options);
 
   /// Drains in-flight work, then stops and joins every thread.

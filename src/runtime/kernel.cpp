@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "core/error.h"
+#include "runtime/emulator.h"
 #include "runtime/trace_log.h"
 
 namespace tflux::runtime {
@@ -82,39 +84,64 @@ void Kernel::run() {
   for (;;) {
     const core::ThreadId tid = mailbox_.take();
     if (tid == core::kInvalidThread) break;  // exit sentinel
-    stats_.mailbox_backlog_peak =
-        std::max<std::uint64_t>(stats_.mailbox_backlog_peak,
-                                mailbox_.size() + 1);
-    const core::DThread& t = program_.thread(tid);
-    if (dataplane_ != nullptr && t.is_application()) {
-      // Ownership record before the body and the publish below: by the
-      // time any consumer can be scored, this thread's written ranges
-      // are attributed here (the TUB's release/acquire orders it).
-      dataplane_->record_execution(tid, id_);
-    }
-    if (t.body) {
-      t.body(core::ExecContext{id_, tid});
-    }
-    ++stats_.threads_executed;
-    if (t.is_application()) ++stats_.app_threads_executed;
-    if (dataplane_ != nullptr && t.is_application()) {
-      // One bulk forward per coalesced [lo, hi] run, counted once per
-      // completion - the double-publish fault duplicates updates,
-      // never forwards.
-      for (const core::ForwardRun& run : dataplane_->forward_runs(tid)) {
-        ++stats_.forwards;
-        stats_.bytes_forwarded += run.bytes;
-      }
-    }
-    // Epoch stamp before the Complete ticket: the execute event takes
-    // its place in the causal order ahead of everything this
-    // completion publishes.
-    guard_.execute(tid);
-    if (trace_) {
-      trace_->record(id_, core::TraceEvent::kComplete, tid, t.block);
-    }
-    post_process(t);
+    execute(tid);
   }
+}
+
+void Kernel::run_inline(TsuEmulator& tsu) {
+  tsu.start();
+  for (;;) {
+    core::ThreadId tid = core::kInvalidThread;
+    if (!mailbox_.try_take(tid)) {
+      // Nothing queued, and this thread is the only one that could
+      // still publish: unless the TUB holds work (the shutdown
+      // broadcast included), the run has stalled for good.
+      if (tsu.step() == 0) {
+        throw core::TFluxError(
+            "one-kernel run cannot make progress: no DThread is ready "
+            "and no TSU command is pending (a dependency cycle?)");
+      }
+      continue;
+    }
+    if (tid == core::kInvalidThread) break;  // exit sentinel
+    execute(tid);
+    tsu.step();
+  }
+}
+
+void Kernel::execute(core::ThreadId tid) {
+  stats_.mailbox_backlog_peak =
+      std::max<std::uint64_t>(stats_.mailbox_backlog_peak,
+                              mailbox_.size() + 1);
+  const core::DThread& t = program_.thread(tid);
+  if (dataplane_ != nullptr && t.is_application()) {
+    // Ownership record before the body and the publish below: by the
+    // time any consumer can be scored, this thread's written ranges
+    // are attributed here (the TUB's release/acquire orders it).
+    dataplane_->record_execution(tid, id_);
+  }
+  if (t.body) {
+    t.body(core::ExecContext{id_, tid});
+  }
+  ++stats_.threads_executed;
+  if (t.is_application()) ++stats_.app_threads_executed;
+  if (dataplane_ != nullptr && t.is_application()) {
+    // One bulk forward per coalesced [lo, hi] run, counted once per
+    // completion - the double-publish fault duplicates updates,
+    // never forwards.
+    for (const core::ForwardRun& run : dataplane_->forward_runs(tid)) {
+      ++stats_.forwards;
+      stats_.bytes_forwarded += run.bytes;
+    }
+  }
+  // Epoch stamp before the Complete ticket: the execute event takes
+  // its place in the causal order ahead of everything this
+  // completion publishes.
+  guard_.execute(tid);
+  if (trace_) {
+    trace_->record(id_, core::TraceEvent::kComplete, tid, t.block);
+  }
+  post_process(t);
 }
 
 }  // namespace tflux::runtime

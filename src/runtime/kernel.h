@@ -22,6 +22,7 @@
 namespace tflux::runtime {
 
 class TraceLog;
+class TsuEmulator;
 
 /// Live per-kernel counters: cache-line aligned so two kernels' stat
 /// bumps (kernels sit in one contiguous container) never false-share.
@@ -56,6 +57,15 @@ class Kernel {
   /// arrives (sent by the emulator after the last Outlet).
   void run();
 
+  /// One-kernel thread main: this kernel drives its own TSU Emulator
+  /// `tsu` (whose mailbox and TUB were built same-thread). It starts
+  /// the emulator, and after every DThread's post-processing steps it
+  /// once, so the DThreads that completion made ready are queued before
+  /// the next take - which never waits. Returns at the exit sentinel.
+  /// Throws core::TFluxError when the run stalls: no DThread queued
+  /// and nothing left in the TUB before the shutdown broadcast.
+  void run_inline(TsuEmulator& tsu);
+
   const KernelStats& stats() const { return stats_; }
   core::KernelId id() const { return id_; }
 
@@ -63,6 +73,8 @@ class Kernel {
   void reset_stats_epoch() { stats_.reset(); }
 
  private:
+  /// Run one delivered DThread: its body, then the post-processing.
+  void execute(core::ThreadId tid);
   void post_process(const core::DThread& t);
 
   const core::Program& program_;

@@ -6,7 +6,9 @@
 
 namespace tflux::runtime {
 
-LaneTub::LaneTub(std::uint32_t num_lanes, std::uint32_t lane_capacity) {
+LaneTub::LaneTub(std::uint32_t num_lanes, std::uint32_t lane_capacity,
+                 bool same_thread)
+    : same_thread_(same_thread) {
   if (num_lanes == 0 || lane_capacity == 0) {
     throw core::TFluxError("LaneTub: lanes and capacity must be >= 1");
   }
@@ -29,6 +31,11 @@ void LaneTub::publish(std::span<const TubEntry> batch, std::uint32_t hint) {
     data += pushed;
     remaining -= pushed;
     if (remaining != 0) {
+      if (same_thread_) {
+        throw core::TFluxError(
+            "LaneTub::publish: lane full in a one-kernel run (its "
+            "emulator drains only between DThreads)");
+      }
       // Lane full: the emulator is behind; yield so it can drain
       // (essential on hosts with fewer cores than runtime threads).
       if (!stalled) {
@@ -40,7 +47,7 @@ void LaneTub::publish(std::span<const TubEntry> batch, std::uint32_t hint) {
   }
   lane.publishes.fetch_add(1, std::memory_order_relaxed);
   lane.entries_published.fetch_add(batch.size(), std::memory_order_relaxed);
-  parker_.notify();
+  if (!same_thread_) parker_.notify();
 }
 
 std::size_t LaneTub::drain(std::vector<TubEntry>& out) {

@@ -44,7 +44,11 @@ class LaneTub final : public TubQueue {
  public:
   /// One lane per producing kernel; each lane holds `lane_capacity`
   /// entries (rounded up to a power of two) between emulator drains.
-  LaneTub(std::uint32_t num_lanes, std::uint32_t lane_capacity);
+  /// `same_thread`: the publishers and the draining emulator are one
+  /// thread (a one-kernel run), so a full lane throws instead of
+  /// waiting for a drain that cannot come, and no one ever parks.
+  LaneTub(std::uint32_t num_lanes, std::uint32_t lane_capacity,
+          bool same_thread = false);
 
   LaneTub(const LaneTub&) = delete;
   LaneTub& operator=(const LaneTub&) = delete;
@@ -52,7 +56,8 @@ class LaneTub final : public TubQueue {
   /// Kernel side: append the batch to lane `hint % num_lanes`. The
   /// batch must fit in max_batch(); when the lane is momentarily full
   /// the publisher spin-yields until the emulator drains (counted in
-  /// stats().full_skips). Wait-free whenever the lane has space.
+  /// stats().full_skips; a same-thread TUB throws core::TFluxError
+  /// instead). Wait-free whenever the lane has space.
   void publish(std::span<const TubEntry> batch, std::uint32_t hint) override;
 
   /// Emulator side: pop every lane in lane order (per-producer FIFO;
@@ -93,6 +98,7 @@ class LaneTub final : public TubQueue {
   }
 
   std::deque<Lane> lanes_;  // deque: Lane is pinned, non-movable
+  const bool same_thread_;
   Parker parker_;
   std::atomic<bool> shutdown_{false};
   alignas(kCacheLine) std::atomic<std::uint64_t> drains_{0};

@@ -10,6 +10,11 @@
 //    until the Kernel catches up.
 //  - mutex (paper-faithful ablation baseline): mutex + condvar deque.
 //
+// In a one-kernel run the producer and the consumer are one thread
+// (the kernel drives its own emulator), so nothing can ever drain a
+// full ring while put() waits: a same-thread mailbox throws instead,
+// never parks anyone, and is read with the non-blocking try_take().
+//
 // Both modes keep a relaxed atomic occupancy counter so the
 // emulator's routing heuristic (probably_empty) never touches the
 // mutex or the ring cursors' contended lines on its fast path.
@@ -21,6 +26,7 @@
 #include <mutex>
 #include <thread>
 
+#include "core/error.h"
 #include "core/types.h"
 #include "runtime/parking.h"
 #include "runtime/spsc_ring.h"
@@ -35,8 +41,11 @@ class Mailbox {
   /// the peak number of undelivered dispatches (the Runtime uses the
   /// largest block's thread count; overflow degrades to spinning, not
   /// to loss).
-  Mailbox(bool lockfree, std::size_t capacity)
-      : lockfree_(lockfree), ring_(lockfree ? capacity : 2) {}
+  /// `same_thread`: put() and try_take() run on one thread (see above).
+  Mailbox(bool lockfree, std::size_t capacity, bool same_thread = false)
+      : lockfree_(lockfree),
+        same_thread_(same_thread),
+        ring_(lockfree ? capacity : 2) {}
 
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
@@ -46,12 +55,17 @@ class Mailbox {
   void put(core::ThreadId tid) {
     if (lockfree_) {
       while (!ring_.try_push(tid)) {
+        if (same_thread_) {
+          throw core::TFluxError(
+              "Mailbox: ring full in a one-kernel run (its kernel cannot "
+              "drain while its own emulator dispatches)");
+        }
         // Ring full: the Kernel is busy executing. It drains without
         // ever waiting on us, so yielding here cannot deadlock.
         std::this_thread::yield();
       }
       count_.fetch_add(1, std::memory_order_relaxed);
-      parker_.notify();
+      if (!same_thread_) parker_.notify();
       return;
     }
     {
@@ -79,6 +93,22 @@ class Mailbox {
     return tid;
   }
 
+  /// Kernel side, never waits: pop the next DThread id into `tid`, or
+  /// return false when nothing is queued.
+  bool try_take(core::ThreadId& tid) {
+    if (lockfree_) {
+      if (!ring_.try_pop(tid)) return false;
+      count_.fetch_sub(1, std::memory_order_relaxed);
+      return true;
+    }
+    std::lock_guard<std::mutex> lk(mutex_);
+    if (items_.empty()) return false;
+    tid = items_.front();
+    items_.pop_front();
+    count_.store(items_.size(), std::memory_order_relaxed);
+    return true;
+  }
+
   /// Approximate emptiness (routing heuristic for the emulator only):
   /// one relaxed load, regardless of mode.
   bool probably_empty() const {
@@ -96,6 +126,7 @@ class Mailbox {
   static constexpr std::size_t kDefaultCapacity = 1024;
 
   const bool lockfree_;
+  const bool same_thread_;
   std::atomic<std::size_t> count_{0};
 
   // Lock-free mode.

@@ -3,6 +3,41 @@
 #include <algorithm>
 
 namespace tflux::runtime {
+namespace {
+
+/// The TUB geometry of a run. The clustered topology appends one
+/// dedicated lane per emulator after the kernels' lanes: steal grants
+/// are emulator-published, and kernel lanes are SPSC with the kernel
+/// as sole producer. A one-kernel run's TUB is same-thread and drained
+/// only between DThreads, so each lane and each segment must hold
+/// everything one completion publishes (twice over for a double-publish
+/// fault) plus one block or shutdown command.
+TubGroupOptions tub_options(const core::Program& program,
+                            const RuntimeOptions& options,
+                            const core::ShardMap& map) {
+  TubGroupOptions tub{
+      .lockfree = options.run.lockfree,
+      .num_lanes = static_cast<std::uint32_t>(
+          map.num_kernels() + (map.clustered() ? map.num_shards() : 0)),
+      .lane_capacity = options.run.tub_lane_capacity,
+      .segments = options.tub_segments,
+      .segment_capacity = options.tub_segment_capacity,
+  };
+  if (run_roles(map) == 1) {
+    std::size_t peak = 0;
+    for (const core::DThread& t : program.threads()) {
+      peak = std::max(peak, t.consumer_runs.empty() ? t.consumers.size()
+                                                    : t.consumer_runs.size());
+    }
+    const auto fit = static_cast<std::uint32_t>(2 * peak + 2);
+    tub.lane_capacity = std::max(tub.lane_capacity, fit);
+    tub.segment_capacity = std::max(tub.segment_capacity, fit);
+    tub.same_thread = true;
+  }
+  return tub;
+}
+
+}  // namespace
 
 RunFrame::RunFrame(const core::Program& program,
                    const RuntimeOptions& options,
@@ -17,21 +52,11 @@ RunFrame::RunFrame(const core::Program& program,
                                       program, map_.topology())
                                 : nullptr),
       sm_(program, map_),
-      // The clustered topology appends one dedicated lane per emulator
-      // after the kernels' lanes: steal grants are emulator-published,
-      // and kernel lanes are SPSC with the kernel as sole producer.
-      tubs_(program, sm_,
-            TubGroupOptions{
-                .lockfree = run_.lockfree,
-                .num_lanes = static_cast<std::uint32_t>(
-                    width() + (map_.clustered() ? groups() : 0)),
-                .lane_capacity = run_.tub_lane_capacity,
-                .segments = options.tub_segments,
-                .segment_capacity = options.tub_segment_capacity,
-            }) {
+      tubs_(program, sm_, tub_options(program, options, map_)) {
   // Size each mailbox ring to the largest block (plus chaining slack:
   // next block's inlet and the exit sentinel can be queued alongside),
-  // so the emulator's put() never blocks on a full ring in practice.
+  // so the emulator's put() never blocks on a full ring in practice -
+  // and a one-kernel run's, which cannot wait, never finds it full.
   std::size_t peak_block = 0;
   for (const core::Block& blk : program.blocks()) {
     peak_block = std::max(peak_block, blk.app_threads.size());
@@ -39,7 +64,8 @@ RunFrame::RunFrame(const core::Program& program,
   const std::size_t mailbox_capacity =
       std::max<std::size_t>(64, peak_block + 4);
   for (core::KernelId k = 0; k < width(); ++k) {
-    mailboxes_.emplace_back(run_.lockfree, mailbox_capacity);
+    mailboxes_.emplace_back(run_.lockfree, mailbox_capacity,
+                            /*same_thread=*/roles() == 1);
   }
 
   if (trace != nullptr) {
@@ -75,6 +101,16 @@ RunFrame::RunFrame(const core::Program& program,
     kernels_.emplace_back(program, k, mailboxes_[k], tubs_, trace_log_.get(),
                           GuardHook{guard_.get(), k}, fault,
                           dataplane_.get());
+  }
+}
+
+void RunFrame::run_role(std::uint16_t role) {
+  if (roles() == 1) {
+    kernels_.front().run_inline(emulators_.front());
+  } else if (role < width()) {
+    kernels_[role].run();
+  } else {
+    emulators_[role - width()].run();
   }
 }
 

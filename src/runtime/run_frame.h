@@ -4,11 +4,17 @@
 // double-buffered Synchronization Memory, the TubGroup, one mailbox
 // per kernel, the optional TraceLog and Guard, one TSU Emulator per
 // group and one Kernel per kernel id 0..W-1. Runtime::run() builds a
-// frame on its stack and drives the actors on fresh threads; the
+// frame on its stack and drives its roles on fresh threads; the
 // resident Executor builds one per admitted instance and drives the
-// actors on its partition's workers. Either way the frame, not its
-// driver, decides how the actors are wired, collects the run's
-// RuntimeStats and writes the run's configuration into the ExecTrace.
+// roles on its partition's workers. Either way the frame, not the
+// code running it, decides how the actors are wired and how many
+// threads (roles) they need, collects the run's RuntimeStats and
+// writes the run's configuration into the ExecTrace.
+//
+// Roles: at W >= 2 every kernel and every emulator is a role of its
+// own (W + G threads), so TSU work overlaps execution. At W = 1 there
+// is one role: the kernel drives its own emulator (Kernel::run_inline)
+// through a same-thread mailbox and TUB, with no cross-thread handoff.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +37,15 @@
 
 namespace tflux::runtime {
 
+/// Threads a run on `map` occupies: one per kernel plus one per TSU
+/// Group emulator, or a single one when the map has one kernel.
+inline std::uint16_t run_roles(const core::ShardMap& map) {
+  return map.num_kernels() == 1
+             ? 1
+             : static_cast<std::uint16_t>(map.num_kernels() +
+                                          map.num_shards());
+}
+
 class RunFrame {
  public:
   /// Build a run of `program` at width options.num_kernels. `guard`
@@ -47,6 +62,14 @@ class RunFrame {
 
   std::uint16_t width() const { return map_.num_kernels(); }
   std::uint16_t groups() const { return map_.num_shards(); }
+  /// Threads this run needs (run_roles); role r runs via run_role(r).
+  std::uint16_t roles() const { return run_roles(map_); }
+  /// Run role `role` to completion on the calling thread: kernel
+  /// `role` for role < width(), else emulator role - width(). With one
+  /// kernel, role 0 is the kernel driving its own emulator. Every role
+  /// of the run must be running concurrently (or, at width 1, the one
+  /// role) for the run to finish.
+  void run_role(std::uint16_t role);
   std::vector<Kernel>& kernels() { return kernels_; }
   std::vector<TsuEmulator>& emulators() { return emulators_; }
   TraceLog* trace_log() { return trace_log_.get(); }

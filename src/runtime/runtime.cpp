@@ -166,19 +166,21 @@ RuntimeStats Runtime::run() {
   }
 
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(frame.kernels().size() + frame.emulators().size());
-  for (Kernel& k : frame.kernels()) {
-    threads.emplace_back([&k] { k.run(); });
-    if (options_.run.pin_threads) pin_to_cpu(threads.back(), k.id());
-  }
-  for (TsuEmulator& e : frame.emulators()) {
-    threads.emplace_back([&e] { e.run(); });
-    if (options_.run.pin_threads) {
-      pin_to_cpu(threads.back(), options_.num_kernels + e.group());
+  if (frame.roles() == 1) {
+    // One kernel driving its own emulator: run it right here (never
+    // pinned - the caller's affinity is not ours to change).
+    frame.run_role(0);
+  } else {
+    // Kernel k pins to CPU k, emulator g to CPU num_kernels + g: the
+    // role order.
+    std::vector<std::thread> threads;
+    threads.reserve(frame.roles());
+    for (std::uint16_t r = 0; r < frame.roles(); ++r) {
+      threads.emplace_back([&frame, r] { frame.run_role(r); });
+      if (options_.run.pin_threads) pin_to_cpu(threads.back(), r);
     }
+    for (std::thread& t : threads) t.join();
   }
-  for (std::thread& t : threads) t.join();
   const auto t1 = std::chrono::steady_clock::now();
 
   frame.finish_trace();

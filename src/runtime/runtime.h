@@ -1,7 +1,13 @@
 // TFluxSoft: the native runtime. Pure user-level std::thread code on an
 // unmodified OS - one thread per Kernel plus the TSU Emulator thread,
 // exactly the paper's Figure 4 arrangement ("the last CPU is dedicated
-// to the TSU Emulation process").
+// to the TSU Emulation process"). A one-kernel run has nothing for a
+// dedicated emulator to overlap with: it runs on the caller's thread,
+// its kernel stepping the emulator after every DThread, and starts no
+// run thread (a traced run still starts the TraceLog flusher). Such a
+// run's exceptions - a throwing DThread body, or the stall error of a
+// run that cannot make progress - therefore reach run()'s caller,
+// where at two or more kernels they end the process.
 //
 // Usage:
 //   core::ProgramBuilder b;
@@ -37,12 +43,16 @@ struct RunOptions {
   /// Lane capacity per kernel in lock-free mode (rounded up to a
   /// power of two). A completion whose consumer list exceeds this is
   /// chunked across several publishes (ddmlint's lane-capacity check
-  /// warns about such DThreads ahead of time).
+  /// warns about such DThreads ahead of time). A one-kernel run, whose
+  /// lane is drained only between DThreads, raises it to fit its
+  /// largest completion.
   std::uint32_t tub_lane_capacity = 256;
   /// Pin each Kernel and TSU Emulator thread to its own CPU (the
   /// paper's placement: one core per Kernel, one for the emulator,
   /// one reserved for the OS). CPU ids wrap around the host's count,
-  /// so this is safe on any machine; failures to pin are ignored.
+  /// so this is safe on any machine; failures to pin are ignored. A
+  /// one-kernel Runtime::run() runs on the caller's thread and does
+  /// not pin it.
   bool pin_threads = false;
   /// Number of TSU Emulator threads (the section 4.1 multiple-TSU-
   /// Groups extension, software flavor): the run's ownership map is
@@ -74,7 +84,9 @@ struct RuntimeOptions {
   std::uint16_t num_kernels = 1;
   RunOptions run{};
   /// TUB geometry (paper: segmented to keep try-lock contention low).
-  /// Used only when run.lockfree == false.
+  /// Used only when run.lockfree == false. A one-kernel run raises the
+  /// segment capacity to fit its largest completion, as it does the
+  /// lane capacity.
   std::uint32_t tub_segments = 8;
   std::uint32_t tub_segment_capacity = 256;
   /// Thread Indexing (TKT). Disable only for the ablation study.
@@ -136,7 +148,8 @@ class Runtime {
 
   /// Execute the program to completion. May be called repeatedly (one
   /// run at a time): every invocation assembles fresh SM generations,
-  /// TUBs, mailboxes, and actor threads, so runs are independent and
+  /// TUBs, mailboxes, and actors (and their threads, at two or more
+  /// kernels), so runs are independent and
   /// the returned stats cover exactly one run (RuntimeStats::epoch
   /// numbers them). Callers re-running a program whose DThreads
   /// consume their own outputs must re-initialize the input buffers

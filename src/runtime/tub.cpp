@@ -9,8 +9,11 @@
 
 namespace tflux::runtime {
 
-Tub::Tub(std::uint32_t num_segments, std::uint32_t segment_capacity)
-    : segment_capacity_(segment_capacity), segments_(num_segments) {
+Tub::Tub(std::uint32_t num_segments, std::uint32_t segment_capacity,
+         bool same_thread)
+    : segment_capacity_(segment_capacity),
+      segments_(num_segments),
+      same_thread_(same_thread) {
   if (num_segments == 0 || segment_capacity == 0) {
     throw core::TFluxError("Tub: segments and capacity must be >= 1");
   }
@@ -43,11 +46,11 @@ void Tub::publish(std::span<const TubEntry> batch, std::uint32_t hint) {
         entries_published_.fetch_add(batch.size(),
                                      std::memory_order_relaxed);
         published_count_.fetch_add(batch.size(), std::memory_order_release);
-        // Wake the emulator if it is parked.
-        {
-          std::lock_guard<std::mutex> lk(wait_mutex_);
+        if (!same_thread_) {
+          // Wake the emulator if it is parked.
+          { std::lock_guard<std::mutex> lk(wait_mutex_); }
+          wait_cv_.notify_one();
         }
-        wait_cv_.notify_one();
         return;
       }
       seg.lock.clear(std::memory_order_release);
@@ -55,6 +58,11 @@ void Tub::publish(std::span<const TubEntry> batch, std::uint32_t hint) {
     }
     ++attempt;
     if (attempt % n == 0) {
+      if (same_thread_) {
+        throw core::TFluxError(
+            "Tub::publish: every segment full in a one-kernel run (its "
+            "emulator drains only between DThreads)");
+      }
       // All segments busy/full: emulator is behind. Yield so it can
       // drain (essential on machines with fewer cores than kernels).
       std::this_thread::yield();

@@ -104,7 +104,10 @@ class Tub final : public TubQueue {
  public:
   /// `num_segments` independent try-lock segments, each able to hold
   /// `segment_capacity` entries between emulator drains.
-  Tub(std::uint32_t num_segments, std::uint32_t segment_capacity);
+  /// `same_thread`: as for LaneTub - publishers and the draining
+  /// emulator are one thread, so finding every segment full throws.
+  Tub(std::uint32_t num_segments, std::uint32_t segment_capacity,
+      bool same_thread = false);
 
   Tub(const Tub&) = delete;
   Tub& operator=(const Tub&) = delete;
@@ -147,6 +150,7 @@ class Tub final : public TubQueue {
 
   std::uint32_t segment_capacity_;
   std::vector<Segment> segments_;
+  const bool same_thread_;
 
   // Each cross-thread-contended atomic gets its own cache line so a
   // kernel bumping a stat cannot false-share with the emulator's

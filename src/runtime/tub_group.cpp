@@ -30,10 +30,11 @@ TubGroup::TubGroup(const core::Program& program, const SyncMemoryGroup& sm,
   for (std::uint16_t g = 0; g < groups; ++g) {
     if (options.lockfree) {
       tubs_.push_back(std::make_unique<LaneTub>(
-          std::max(options.num_lanes, 1u), options.lane_capacity));
+          std::max(options.num_lanes, 1u), options.lane_capacity,
+          options.same_thread));
     } else {
-      tubs_.push_back(std::make_unique<Tub>(options.segments,
-                                            options.segment_capacity));
+      tubs_.push_back(std::make_unique<Tub>(
+          options.segments, options.segment_capacity, options.same_thread));
     }
   }
 }

@@ -44,6 +44,10 @@ struct TubGroupOptions {
   /// Mutex geometry (paper: segmented to keep try-lock contention low).
   std::uint32_t segments = 8;
   std::uint32_t segment_capacity = 256;
+  /// One thread publishes and drains (a one-kernel run, whose kernel
+  /// steps its own emulator): a full lane or segment throws instead of
+  /// waiting, and publishes wake no one.
+  bool same_thread = false;
 };
 
 class TubGroup {

@@ -237,6 +237,21 @@ TEST_P(MailboxModeTest, CountTracksOccupancy) {
   EXPECT_TRUE(mb.probably_empty());
 }
 
+TEST_P(MailboxModeTest, TryTakeNeverWaits) {
+  Mailbox mb(GetParam(), 64);
+  core::ThreadId tid = core::kInvalidThread;
+  EXPECT_FALSE(mb.try_take(tid));
+  mb.put(core::ThreadId{5});
+  mb.put(core::ThreadId{6});
+  ASSERT_TRUE(mb.try_take(tid));
+  EXPECT_EQ(tid, core::ThreadId{5});
+  EXPECT_EQ(mb.size(), 1u);
+  ASSERT_TRUE(mb.try_take(tid));
+  EXPECT_EQ(tid, core::ThreadId{6});
+  EXPECT_FALSE(mb.try_take(tid));
+  EXPECT_TRUE(mb.probably_empty());
+}
+
 INSTANTIATE_TEST_SUITE_P(BothModes, MailboxModeTest,
                          ::testing::Values(true, false),
                          [](const auto& info) {
@@ -257,9 +272,40 @@ TEST(MailboxTest, LockfreePutSpinsThroughFullRing) {
   producer.join();
 }
 
+TEST(MailboxTest, SameThreadPutThrowsOnFullRing) {
+  // One thread puts and takes: a full ring can never drain while put()
+  // waits, so it throws - and loses or reorders nothing already queued.
+  Mailbox mb(true, 2, /*same_thread=*/true);
+  mb.put(core::ThreadId{1});
+  mb.put(core::ThreadId{2});
+  EXPECT_THROW(mb.put(core::ThreadId{3}), core::TFluxError);
+  core::ThreadId tid = core::kInvalidThread;
+  ASSERT_TRUE(mb.try_take(tid));
+  EXPECT_EQ(tid, core::ThreadId{1});
+  mb.put(core::ThreadId{3});
+  ASSERT_TRUE(mb.try_take(tid));
+  EXPECT_EQ(tid, core::ThreadId{2});
+  ASSERT_TRUE(mb.try_take(tid));
+  EXPECT_EQ(tid, core::ThreadId{3});
+}
+
 // ---------------------------------------------------------------------------
 // LaneTub
 // ---------------------------------------------------------------------------
+
+TEST(LaneTubTest, SameThreadPublishThrowsOnFullLane) {
+  LaneTub tub(1, 4, /*same_thread=*/true);
+  const std::vector<TubEntry> batch(4, TubEntry{TubEntry::Kind::kUpdate, 7});
+  tub.publish(batch, 0);
+  const TubEntry one{TubEntry::Kind::kUpdate, 8};
+  EXPECT_THROW(tub.publish({&one, 1}, 0), core::TFluxError);
+  std::vector<TubEntry> out;
+  EXPECT_EQ(tub.drain(out), 4u);
+  EXPECT_EQ(out, batch);
+  tub.publish({&one, 1}, 0);  // drained: room again
+  out.clear();
+  EXPECT_EQ(tub.drain(out), 1u);
+}
 
 TEST(LaneTubTest, SingleLanePublishDrainFifo) {
   LaneTub tub(1, 16);

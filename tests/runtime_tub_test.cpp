@@ -20,6 +20,17 @@ TEST(TubTest, InvalidGeometryRejected) {
   EXPECT_THROW(Tub(4, 0), core::TFluxError);
 }
 
+TEST(TubTest, SameThreadPublishThrowsWhenEverySegmentIsFull) {
+  Tub tub(2, 2, /*same_thread=*/true);
+  const std::vector<TubEntry> pair(2, TubEntry{TubEntry::Kind::kUpdate, 3});
+  tub.publish(pair, 0);
+  tub.publish(pair, 0);  // the second segment
+  EXPECT_THROW(tub.publish(pair, 0), core::TFluxError);
+  std::vector<TubEntry> out;
+  EXPECT_EQ(tub.drain(out), 4u);
+  tub.publish(pair, 0);
+}
+
 TEST(TubTest, PublishThenDrainRoundTrips) {
   Tub tub(4, 16);
   const std::vector<TubEntry> batch = {
