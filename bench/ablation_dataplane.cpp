@@ -152,13 +152,13 @@ int main(int argc, char** argv) {
   // --- Part 3: native counters vs ddmcheck trace replay -------------
   std::printf("\n=== Native SUSANPIPE: data-plane counters vs trace replay "
               "===\n\n");
-  std::printf("%-8s %-7s | %10s %14s %8s %8s %8s\n", "kernels", "shards",
+  std::printf("%-8s %-7s | %10s %14s %8s %8s %8s\n", "kernels", "groups",
               "forwards", "bytes", "hits", "misses", "status");
   struct NativeCase {
     std::uint16_t kernels;
-    std::uint16_t shards;
+    std::uint16_t groups;
   };
-  for (const NativeCase nc : {NativeCase{4, 0}, NativeCase{4, 2}}) {
+  for (const NativeCase nc : {NativeCase{4, 1}, NativeCase{4, 2}}) {
     apps::DdmParams np = params;
     np.num_kernels = nc.kernels;
     apps::AppRun run =
@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
     runtime::RuntimeOptions rt;
     rt.num_kernels = nc.kernels;
     rt.run.policy = core::PolicyKind::kAffinity;
-    rt.run.shards = nc.shards;
+    rt.run.tsu_groups = nc.groups;
     rt.trace = &trace;
     runtime::Runtime runtime(run.program, rt);
     const runtime::RuntimeStats st = runtime.run();
@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
         st.emulator.affinity_hits > 0 && bytes > 0;
     ok = ok && row_ok;
     std::printf("%-8u %-7u | %10llu %14llu %8llu %8llu %8s\n", nc.kernels,
-                nc.shards, static_cast<unsigned long long>(forwards),
+                nc.groups, static_cast<unsigned long long>(forwards),
                 static_cast<unsigned long long>(bytes),
                 static_cast<unsigned long long>(st.emulator.affinity_hits),
                 static_cast<unsigned long long>(st.emulator.affinity_misses),
@@ -210,7 +210,8 @@ int main(int argc, char** argv) {
     json.begin_row();
     json.field("app", "SUSANPIPE");
     json.field("kernels", static_cast<std::uint32_t>(nc.kernels));
-    json.field("shards", static_cast<std::uint32_t>(nc.shards));
+    // The artifact's "shards" key counts TSU groups, 0 for one group.
+    json.field("shards", nc.groups >= 2 ? std::uint32_t{nc.groups} : 0u);
     json.field("native_forwards", forwards);
     json.field("native_bytes_forwarded", bytes);
     json.field("native_affinity_hits", st.emulator.affinity_hits);

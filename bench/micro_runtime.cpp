@@ -128,7 +128,7 @@ void BM_SmDecrement(benchmark::State& state) {
   const bool use_tkt = state.range(0) != 0;
   const int width = static_cast<int>(state.range(1));
   core::Program program = make_wide_program(8, width);
-  const core::ShardMap map = core::ShardMap::interleaved(8, 1);
+  const core::ShardMap map(8, 1);
   runtime::SyncMemoryGroup sm(program, map);
   std::uint64_t steps = 0;
   std::size_t next = 0;

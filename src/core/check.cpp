@@ -263,12 +263,12 @@ CheckReport check_trace(const Program& program, const ExecTrace& trace,
   std::uint32_t outlet_done_next = 0;
   std::vector<BlockId> last_activation(trace.groups, kInvalidBlock);
 
-  // Shard topology for the dispatch-routing tally: sharded runs use
-  // the clustered map (the runtime's), flat runs classify every
-  // non-home dispatch as a local steal.
+  // Group topology for the dispatch-routing tally: a run with two or
+  // more TSU groups uses the runtime's clustered map; a one-group run
+  // classifies every non-home dispatch as a local steal.
   std::optional<ShardMap> shard_map;
-  if (trace.shards != 0 && trace.shards <= trace.kernels) {
-    shard_map = ShardMap::clustered(trace.kernels, trace.shards);
+  if (trace.groups >= 2 && trace.groups <= trace.kernels) {
+    shard_map.emplace(trace.kernels, trace.groups);
   }
 
   // Data-plane replay: drive a fresh DataPlane with the recorded

@@ -84,10 +84,10 @@ struct CheckOptions {
 /// Dispatch-routing tally rebuilt from the trace's dispatch records,
 /// so a run's reported steal statistics can be reconciled against the
 /// trace replay. `home` counts dispatches that landed on the DThread's
-/// home kernel; the rest split by the trace's shard topology
-/// (clustered over the config's `shards` clause): `local` stayed in
-/// the home kernel's shard, `remote` crossed a shard boundary. With
-/// shards == 0 (flat trace) every non-home dispatch counts as local.
+/// home kernel; the rest split by the trace's group topology
+/// (clustered over the config's `groups` clause): `local` stayed in
+/// the home kernel's group, `remote` crossed a group boundary. With
+/// one group every non-home dispatch counts as local.
 struct StealTally {
   std::uint64_t dispatches = 0;
   std::uint64_t home = 0;

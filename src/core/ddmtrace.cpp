@@ -57,7 +57,6 @@ std::string save_trace(const ExecTrace& trace) {
       << (trace.lockfree ? 1 : 0);
   // Optional clauses: only non-default values are written, so older
   // traces stay byte-identical with their original writers.
-  if (trace.shards != 0) out << " shards " << trace.shards;
   if (trace.dataplane) out << " dataplane 1";
   out << "\n";
   if (!trace.app.empty()) {
@@ -132,7 +131,6 @@ ExecTrace load_trace(const std::string& text) {
         } else if (clause == "shards") {
           unsigned s = 0;
           if (!(ls >> s)) fail("config shards needs a count");
-          trace.shards = static_cast<std::uint16_t>(s);
         } else if (clause == "coalesce") {
           int v = 0;
           if (!(ls >> v)) fail("config coalesce needs 0 or 1");

@@ -20,7 +20,9 @@
 // truncated directive; version-1 files still load (no version-1 event
 // needs a third operand). A `coalesce 0` config clause (traces of the
 // removed unit-update mode) is rejected; `coalesce 1` is accepted and
-// ignored.
+// ignored. A legacy `shards <S>` clause is accepted and ignored: the
+// writers of such traces ran S clustered groups and wrote `groups S`
+// too, which is what the replay reads.
 //
 // Events and their operands (actor = lane: kernel k is lane k, TSU
 // Emulator of group g is lane K+g):
@@ -82,11 +84,8 @@ struct TraceRecord {
 struct ExecTrace {
   std::string program = "unknown";
   std::uint16_t kernels = 1;
+  /// TSU groups of the run: clustered over `kernels` (core::ShardMap).
   std::uint16_t groups = 1;
-  /// Topology shard count of the run (0 = flat/no sharding). Written
-  /// as an optional `shards <S>` clause on the config line; absent in
-  /// pre-shard traces, which load as 0.
-  std::uint16_t shards = 0;
   /// Managed data plane enabled (RunOptions::dataplane). Optional
   /// `dataplane <0|1>` config clause; absent in older traces, which
   /// load as 0 (those runtimes had no data plane to reconcile).

@@ -2,20 +2,15 @@
 // layer that must agree on it (emulator scheduling loops, SM span
 // partitions, TUB routing, the simulated machine's TSU ports, and the
 // static shard-balance lint). Every native run and every simulated
-// machine owns exactly one, built by ShardMap::resolve().
+// machine owns exactly one, built from its `tsu_groups` count.
 //
-// Two mappings exist:
-//   kInterleaved - kernel k belongs to shard k % S. This is the paper's
-//                  section 4.1 `tsu_groups` striping: with round-robin
-//                  home-kernel assignment it balances load perfectly
-//                  but scatters each shard's kernels across the whole
-//                  id space.
-//   kClustered   - contiguous balanced ranges (shard s owns a run of
-//                  floor(K/S) or ceil(K/S) consecutive kernels). This
-//                  models core clusters / sockets: siblings share a
-//                  cache domain, and a coalesced [lo, hi] Ready-Count
-//                  range splits into at most S contiguous sub-ranges,
-//                  one per shard, at publish time.
+// The paper's section 4.1 "multiple TSU Groups" are clustered: with
+// base = K/G and rem = K%G, group g owns base + (g < rem) consecutive
+// kernels starting after the ranges of groups 0..g-1 (the first `rem`
+// groups get the extra kernel). This models core clusters / sockets:
+// siblings share a cache domain, and a coalesced [lo, hi] Ready-Count
+// range splits into at most G contiguous sub-ranges, one per group, at
+// publish time. A group is also called a shard.
 //
 // The map is immutable after construction; all queries are O(1).
 #pragma once
@@ -29,26 +24,9 @@ namespace tflux::core {
 
 class ShardMap {
  public:
-  enum class Kind : std::uint8_t { kInterleaved, kClustered };
-
-  /// TSU-group striping: kernel k -> shard k % num_shards.
-  static ShardMap interleaved(std::uint16_t num_kernels,
-                              std::uint16_t num_shards);
-
-  /// Contiguous balanced ranges: with base = K/S and rem = K%S, shard
-  /// s owns base + (s < rem) consecutive kernels starting after the
-  /// ranges of shards 0..s-1 (the first `rem` shards get the extra
-  /// kernel).
-  static ShardMap clustered(std::uint16_t num_kernels,
-                            std::uint16_t num_shards);
-
-  /// The ownership map of a run over `num_kernels` kernels:
-  /// clustered(num_kernels, shards) when `shards` >= 1 (the sharded
-  /// TSU), interleaved(num_kernels, tsu_groups) otherwise. Throws
-  /// TFluxError unless 1 <= tsu_groups <= num_kernels and shards <=
-  /// num_kernels (tsu_groups is checked even when shards overrides it).
-  static ShardMap resolve(std::uint16_t num_kernels, std::uint16_t tsu_groups,
-                          std::uint16_t shards);
+  /// `num_groups` clustered TSU groups over `num_kernels` kernels.
+  /// Throws TFluxError unless 1 <= num_groups <= num_kernels.
+  ShardMap(std::uint16_t num_kernels, std::uint16_t num_groups);
 
   std::uint16_t shard_of(KernelId k) const { return shard_of_[k]; }
 
@@ -58,7 +36,7 @@ class ShardMap {
   }
 
   /// First (lowest-id) kernel owned by `shard`. Every shard owns at
-  /// least one kernel (construction rejects S > K).
+  /// least one kernel (construction rejects G > K).
   KernelId first_kernel(std::uint16_t shard) const {
     return kernels_[shard].front();
   }
@@ -74,11 +52,11 @@ class ShardMap {
   std::uint16_t num_shards() const {
     return static_cast<std::uint16_t>(kernels_.size());
   }
-  Kind kind() const { return kind_; }
-  /// True for the clustered topology. Only a clustered map engages the
-  /// topology-only behaviours: remote steal grants, intra/inter-shard
-  /// latencies, hierarchical pull and cross-shard byte accounting.
-  bool clustered() const { return kind_ == Kind::kClustered; }
+  /// True with two or more groups. Only then do the topology-only
+  /// behaviours engage: remote steal grants (and their TUB lanes),
+  /// cross-group latencies, hierarchical pull and cross-shard byte
+  /// accounting. A one-group map keeps every flat path.
+  bool clustered() const { return kernels_.size() >= 2; }
   /// This map when clustered, else null: what the topology-only
   /// consumers (ReadySet / TsuState hierarchical pull, the DataPlane's
   /// cross-shard bytes) take, so a flat run keeps their flat paths.
@@ -90,13 +68,8 @@ class ShardMap {
   }
 
  private:
-  ShardMap(Kind kind, std::uint16_t num_kernels, std::uint16_t num_shards);
-
-  Kind kind_ = Kind::kInterleaved;
   std::vector<std::uint16_t> shard_of_;        // indexed by kernel id
   std::vector<std::vector<KernelId>> kernels_;  // indexed by shard
 };
-
-const char* to_string(ShardMap::Kind kind);
 
 }  // namespace tflux::core

@@ -506,17 +506,18 @@ void check_capacity_and_kernels(const Program& program,
       }
     }
   }
-  if (options.shards != 0 && options.shard_imbalance_pct != 0 &&
-      options.num_kernels != 0 && options.shards <= options.num_kernels) {
+  // The target topology of the shard checks: >= 2 clustered groups.
+  const bool topology = options.tsu_groups >= 2 &&
+                        options.tsu_groups <= options.num_kernels;
+  if (topology && options.shard_imbalance_pct != 0) {
     // Per-shard load under the clustered topology the sharded runtime
     // uses: each shard's emulator owns its kernels' SM spans, so a
     // shard's work is the application DThreads homed on its kernels
     // plus the Ready-Count updates those DThreads receive. Stealing
     // rebalances *execution*, not this TSU-side accounting - an
     // unbalanced graph serializes on the loaded shard's emulator.
-    const ShardMap map =
-        ShardMap::clustered(options.num_kernels, options.shards);
-    std::vector<std::uint64_t> load(options.shards, 0);
+    const ShardMap map(options.num_kernels, options.tsu_groups);
+    std::vector<std::uint64_t> load(options.tsu_groups, 0);
     std::uint64_t total = 0;
     for (const DThread& t : program.threads()) {
       if (!t.is_application()) continue;
@@ -530,8 +531,9 @@ void check_capacity_and_kernels(const Program& program,
     }
     if (total != 0) {
       const double mean =
-          static_cast<double>(total) / static_cast<double>(options.shards);
-      for (std::uint16_t s = 0; s < options.shards; ++s) {
+          static_cast<double>(total) /
+          static_cast<double>(options.tsu_groups);
+      for (std::uint16_t s = 0; s < options.tsu_groups; ++s) {
         const double dev =
             (static_cast<double>(load[s]) - mean) / mean * 100.0;
         if (dev > static_cast<double>(options.shard_imbalance_pct) ||
@@ -562,12 +564,8 @@ void check_capacity_and_kernels(const Program& program,
     // The contribution table already intersects every producer's write
     // set with every consumer's read set over same- and cross-block
     // arcs, zero-byte ranges excluded.
-    const bool by_shard = options.shards != 0 && options.num_kernels != 0 &&
-                          options.shards <= options.num_kernels;
     std::optional<ShardMap> map;
-    if (by_shard) {
-      map = ShardMap::clustered(options.num_kernels, options.shards);
-    }
+    if (topology) map.emplace(options.num_kernels, options.tsu_groups);
     const DataPlane plane(program);
     std::vector<KernelId> homes;
     for (const DThread& t : program.threads()) {
@@ -579,7 +577,7 @@ void check_capacity_and_kernels(const Program& program,
         if (options.num_kernels != 0 && home >= options.num_kernels) {
           home = 0;  // TKT clamp
         }
-        if (by_shard) home = map->shard_of(home);
+        if (map) home = map->shard_of(home);
         if (std::find(homes.begin(), homes.end(), home) == homes.end()) {
           homes.push_back(home);
         }
@@ -590,7 +588,7 @@ void check_capacity_and_kernels(const Program& program,
                      "'s input footprint is written by producers homed "
                      "on " +
                      std::to_string(homes.size()) + " distinct " +
-                     (by_shard ? "shards" : "kernels") + " (threshold " +
+                     (map ? "shards" : "kernels") + " (threshold " +
                      std::to_string(options.affinity_split) +
                      "); no placement keeps more than one producer's "
                      "share warm - align producer and consumer homes or "

@@ -120,25 +120,26 @@ struct VerifyOptions {
   /// transition - the overhead spike deterministic sampling is meant
   /// to bound. tflux_lint --guard-hotspots=N.
   std::uint32_t guard_hotspot_budget = 0;
-  /// Shard count of the target topology for the shard-imbalance check
-  /// (clustered map over num_kernels; both must be nonzero to enable).
-  /// The sharded TSU keeps Ready-Count work home-shard-local, so a
-  /// graph whose DThread placement and update fan-in concentrate on
-  /// one shard serializes on that shard's emulator no matter how the
-  /// stealing behaves. tflux_lint --shards=K.
-  std::uint16_t shards = 0;
+  /// TSU groups of the target topology for the shard-imbalance and
+  /// affinity-split checks (clustered map over num_kernels; enabled
+  /// when 2 <= tsu_groups <= num_kernels). Multiple TSU groups keep
+  /// Ready-Count work home-group-local, so a graph whose DThread
+  /// placement and update fan-in concentrate on one group serializes
+  /// on that group's emulator no matter how the stealing behaves.
+  /// tflux_lint --tsu-groups=G.
+  std::uint16_t tsu_groups = 1;
   /// Allowed deviation, in percent, of any one shard's load (homed
   /// application DThreads + Ready-Count updates they receive) from the
   /// uniform per-shard share before kShardImbalance fires (0 disables).
   /// tflux_lint --shard-imbalance=N.
   std::uint32_t shard_imbalance_pct = 0;
-  /// Maximum number of distinct producer home kernels - home *shards*
-  /// when `shards` is also set - a consumer's input footprint may span
-  /// before kAffinitySplit fires (0 disables). A consumer whose input
-  /// bytes are written by producers homed on many kernels has no warm
-  /// placement: wherever the data plane's affinity dispatch puts it,
-  /// most of its input crosses caches (and shard links). tflux_lint
-  /// --affinity-split=N.
+  /// Maximum number of distinct producer home kernels - home *groups*
+  /// when `tsu_groups` gives a topology - a consumer's input footprint
+  /// may span before kAffinitySplit fires (0 disables). A consumer
+  /// whose input bytes are written by producers homed on many kernels
+  /// has no warm placement: wherever the data plane's affinity dispatch
+  /// puts it, most of its input crosses caches (and group links).
+  /// tflux_lint --affinity-split=N.
   std::uint32_t affinity_split = 0;
   /// Dead-footprint detection (opt-in): warn when a DThread declares a
   /// write range but none of its same-block consumers' declared read

@@ -50,16 +50,15 @@ MachineConfig x86_hard(std::uint16_t num_kernels) {
 }
 
 MachineConfig xeon_soft_sharded(std::uint16_t num_kernels,
-                                std::uint16_t shards) {
+                                std::uint16_t groups) {
   MachineConfig c = xeon_soft(num_kernels);
   c.name = "xeon-x86-tfluxsoft-sharded";
-  c.topology.shards = shards;
-  // Within the home shard the kernel<->TSU handshake stays the
-  // xeon_soft shared-L2 cost; an operation leaving the shard crosses
+  c.tsu.num_groups = groups;
+  // Within the home group the kernel<->TSU handshake stays the
+  // xeon_soft shared-L2 cost; an operation leaving the group crosses
   // to another cluster's emulator - a cross-cluster cache-to-cache
   // hop on top (roughly 2x the intra-cluster handshake).
-  c.topology.intra_shard_latency = c.tsu.access_latency;
-  c.topology.inter_shard_latency = 2 * c.tsu.access_latency;
+  c.tsu.intergroup_latency = 2 * c.tsu.access_latency;
   return c;
 }
 

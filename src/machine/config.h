@@ -17,7 +17,6 @@
 #include <string>
 
 #include "core/ready_set.h"
-#include "core/topology.h"
 #include "core/types.h"
 
 namespace tflux::machine {
@@ -57,43 +56,15 @@ struct TsuTiming {
   /// very large number of CPUs it may be beneficial to have multiple
   /// TSU Groups. A version of the TSU Group supporting such
   /// functionality is currently under development." - implemented here
-  /// as an extension: kernels are partitioned round-robin over the
-  /// groups (core::ShardMap::interleaved), each group has its own
-  /// command port, and Ready Count updates whose target lives in
-  /// another group pay `intergroup_latency` and occupy the remote
-  /// group's port. Must be in [1, num_kernels].
+  /// as an extension: the kernels are clustered into contiguous groups
+  /// (core::ShardMap), each group has its own command port, and an
+  /// operation that crosses groups - a Ready Count update whose target
+  /// lives in another group, or a dispatch onto a kernel outside the
+  /// DThread's home group - pays `intergroup_latency` (and an update
+  /// occupies the remote group's port). Must be in [1, num_kernels].
   std::uint16_t num_groups = 1;
   /// One-way latency of the TSU-to-TSU link between groups.
   Cycles intergroup_latency = 16;
-};
-
-/// Topology model of the sharded TSU: the kernels are clustered into
-/// shards (contiguous ranges, core::ShardMap), each shard gets its own
-/// TSU port, and exchanges declare different intra- vs inter-shard
-/// costs. Configurable up to simulated 32-128-kernel machines; shards
-/// == 1 is the flat (single-domain) baseline and leaves the
-/// interleaved TsuTiming::num_groups model in charge.
-struct TopologyConfig {
-  /// Number of shards. 1 = flat; >= 2 enables the clustered topology
-  /// (overriding tsu.num_groups); 0 = auto from kernels_per_shard.
-  std::uint16_t shards = 1;
-  /// Auto sizing (shards == 0): ceil(num_kernels / kernels_per_shard).
-  std::uint16_t kernels_per_shard = 8;
-  /// Kernel <-> TSU latency within the home shard (0 = inherit
-  /// tsu.access_latency).
-  Cycles intra_shard_latency = 0;
-  /// Extra one-way latency for an operation crossing a shard boundary
-  /// (0 = inherit tsu.intergroup_latency).
-  Cycles inter_shard_latency = 0;
-
-  /// Shard count this topology resolves to on a `num_kernels` machine.
-  std::uint16_t resolved_shards(std::uint16_t num_kernels) const {
-    if (shards != 0) return shards;
-    const std::uint16_t per = kernels_per_shard == 0 ? 1 : kernels_per_shard;
-    const std::uint16_t n =
-        static_cast<std::uint16_t>((num_kernels + per - 1) / per);
-    return n == 0 ? 1 : n;
-  }
 };
 
 struct MachineConfig {
@@ -112,7 +83,6 @@ struct MachineConfig {
   Cycles c2c_latency = 40;
 
   TsuTiming tsu;
-  TopologyConfig topology;
   /// Kernel-side cost of the transition into/out of a DThread (the
   /// paper keeps Kernel and DThread code in one function to make this
   /// minimal).
@@ -140,12 +110,12 @@ MachineConfig xeon_soft(std::uint16_t num_kernels);
 /// mentions at the end of section 6.1.2: x86-like caches, hardware TSU.
 MachineConfig x86_hard(std::uint16_t num_kernels);
 
-/// Sharded-topology TFluxSoft: the xeon_soft machine with its kernels
-/// clustered into `shards` TSU domains, one emulator port per shard.
-/// Intra-shard exchanges keep the xeon_soft handshake cost; crossing a
-/// shard boundary models a cross-cluster cache-to-cache hop. Pair with
+/// Sharded TFluxSoft: the xeon_soft machine with its kernels clustered
+/// into `groups` TSU groups, one emulator port per group. Exchanges
+/// within the home group keep the xeon_soft handshake cost; crossing a
+/// group boundary models a cross-cluster cache-to-cache hop. Pair with
 /// PolicyKind::kHier for hierarchical stealing.
 MachineConfig xeon_soft_sharded(std::uint16_t num_kernels,
-                                std::uint16_t shards);
+                                std::uint16_t groups);
 
 }  // namespace tflux::machine

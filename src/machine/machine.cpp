@@ -7,26 +7,12 @@
 
 namespace tflux::machine {
 
-namespace {
-
-/// The machine's TSU-group ownership map. A one-shard topology is the
-/// flat baseline: it leaves the interleaved tsu.num_groups model in
-/// charge.
-core::ShardMap ownership_map(const MachineConfig& config) {
-  const std::uint16_t shards =
-      config.topology.resolved_shards(config.num_kernels);
-  return core::ShardMap::resolve(config.num_kernels, config.tsu.num_groups,
-                                 shards >= 2 ? shards : 0);
-}
-
-}  // namespace
-
 Machine::Machine(const MachineConfig& config, const core::Program& program,
                  bool invoke_bodies)
     : config_(config),
       program_(program),
       invoke_bodies_(invoke_bodies),
-      map_(ownership_map(config_)) {
+      map_(config_.num_kernels, config_.tsu.num_groups) {
   if (config_.exec_quantum == 0) {
     throw core::TFluxError("Machine: exec_quantum must be >= 1");
   }
@@ -75,14 +61,14 @@ void Machine::dispatch(core::KernelId k, core::ThreadId tid) {
     cur.compute_left -= cur.compute_per_line * cur.lines_left;
   }
   // Reach the kernel (access latency) and switch into the DThread. A
-  // sharded dispatch that crossed a shard boundary (hierarchical
-  // steal: the DThread's home lives in another cluster) pays the
-  // inter-shard link on top.
-  Cycles access = local_access_latency();
+  // dispatch that crossed a group boundary (hierarchical steal: the
+  // DThread's home lives in another cluster) pays the TSU-to-TSU link
+  // on top.
+  Cycles access = config_.tsu.access_latency;
   if (map_.clustered()) {
     core::KernelId home = t.home_kernel;
     if (home >= config_.num_kernels) home = 0;
-    if (!map_.same_shard(home, k)) access += cross_group_latency();
+    if (!map_.same_shard(home, k)) access += config_.tsu.intergroup_latency;
   }
   const Cycles start = eq_.now() + access + config_.thread_switch_cycles;
   cur.started_at = start;
@@ -212,9 +198,9 @@ void Machine::complete_thread(core::KernelId k) {
   for (std::uint16_t g = 0; g < groups; ++g) {
     const std::uint64_t ops = ops_per_group_[g];
     if (ops == 0) continue;
-    Cycles ready_at = now + local_access_latency();
+    Cycles ready_at = now + config_.tsu.access_latency;
     if (g != local_group) {
-      ready_at += cross_group_latency();
+      ready_at += config_.tsu.intergroup_latency;
       stats_.tsu_intergroup_updates += ops;
     }
     const Cycles grant =
@@ -249,7 +235,7 @@ void Machine::kernel_request(core::KernelId k) {
   // command stream - kernels asking for work are never stalled by
   // other kernels' completion bursts.
   const Cycles done =
-      eq_.now() + local_access_latency() + config_.tsu.op_cycles;
+      eq_.now() + config_.tsu.access_latency + config_.tsu.op_cycles;
   eq_.at(done, [this, k] {
     if (tsu_->done()) return;
     if (auto tid = tsu_->fetch(k)) {

@@ -100,22 +100,8 @@ class Machine {
   MachineConfig config_;
   const core::Program& program_;
   bool invoke_bodies_;
-  /// TSU-group ownership: clustered when the topology resolves to >= 2
-  /// shards, interleaved over tsu.num_groups otherwise.
+  /// TSU-group ownership: tsu.num_groups clustered groups.
   const core::ShardMap map_;
-
-  /// One-way kernel<->TSU latency within the home domain.
-  Cycles local_access_latency() const {
-    return map_.clustered() && config_.topology.intra_shard_latency != 0
-               ? config_.topology.intra_shard_latency
-               : config_.tsu.access_latency;
-  }
-  /// Extra one-way latency for an operation crossing domains.
-  Cycles cross_group_latency() const {
-    return map_.clustered() && config_.topology.inter_shard_latency != 0
-               ? config_.topology.inter_shard_latency
-               : config_.tsu.intergroup_latency;
-  }
 
   sim::EventQueue eq_;
   std::unique_ptr<MemorySystem> mem_;

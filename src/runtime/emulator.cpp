@@ -188,7 +188,7 @@ bool TsuEmulator::try_delegate(core::ThreadId tid, std::size_t local_best) {
   // round trip), and fault-injection runs keep every dispatch local so
   // the armed victim's early-dispatch/swallow pair stays in one
   // emulator.
-  if (!map_.clustered() || map_.num_shards() <= 1 || fault_ != nullptr ||
+  if (!map_.clustered() || fault_ != nullptr ||
       !program_.thread(tid).is_application()) {
     return false;
   }

@@ -152,10 +152,10 @@ struct Executor::Impl {
       throw core::TFluxError("Executor: queue_capacity must be >= 1");
     }
     // Every instance's RunFrame resolves the same map; it sizes the
-    // partition's roles (and rejects a tsu_groups or shards count the
-    // partition width cannot hold).
-    const core::ShardMap map = core::ShardMap::resolve(
-        options.partition_width, options.run.tsu_groups, options.run.shards);
+    // partition's roles (and rejects a tsu_groups count the partition
+    // width cannot hold).
+    const core::ShardMap map(options.partition_width,
+                             options.run.tsu_groups);
     const std::uint16_t groups = map.num_shards();
     const std::uint16_t roles = run_roles(map);
     for (const core::TenantPartition& part : plan) {

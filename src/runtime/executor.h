@@ -63,8 +63,8 @@ struct ExecutorOptions {
   /// when idle; 2 (default) = stage the next instance while the
   /// current one runs, hiding its SM/TUB build time behind execution.
   std::uint16_t stage_depth = 2;
-  /// Applied to every admitted instance. run.tsu_groups and run.shards
-  /// must be <= partition_width; run.pin_threads puts kernel workers
+  /// Applied to every admitted instance. run.tsu_groups must be <=
+  /// partition_width; run.pin_threads puts kernel workers
   /// on the pool's kernel CPUs and emulator workers on the CPUs after
   /// the pool (wrapping around the host count; best effort).
   RunOptions run{};

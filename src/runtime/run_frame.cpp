@@ -5,7 +5,7 @@
 namespace tflux::runtime {
 namespace {
 
-/// The TUB geometry of a run. The clustered topology appends one
+/// The TUB geometry of a run. Two or more TSU groups append one
 /// dedicated lane per emulator after the kernels' lanes: steal grants
 /// are emulator-published, and kernel lanes are SPSC with the kernel
 /// as sole producer. A one-kernel run's TUB is same-thread and drained
@@ -46,8 +46,7 @@ RunFrame::RunFrame(const core::Program& program,
     : program_(program),
       run_(options.run),
       trace_out_(trace),
-      map_(core::ShardMap::resolve(options.num_kernels, run_.tsu_groups,
-                                   run_.shards)),
+      map_(options.num_kernels, run_.tsu_groups),
       dataplane_(run_.dataplane ? std::make_unique<core::DataPlane>(
                                       program, map_.topology())
                                 : nullptr),
@@ -121,7 +120,6 @@ void RunFrame::describe(core::ExecTrace& trace) const {
   trace.policy = core::to_string(run_.policy);
   trace.pipelined = true;
   trace.lockfree = run_.lockfree;
-  trace.shards = run_.shards;
   trace.dataplane = run_.dataplane;
 }
 

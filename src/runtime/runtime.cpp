@@ -109,10 +109,9 @@ Runtime::Runtime(const core::Program& program, RuntimeOptions options)
   if (options_.num_kernels == 0) {
     throw core::TFluxError("Runtime: num_kernels must be >= 1");
   }
-  // Reject a TSU-group or shard count the kernels cannot hold now,
-  // rather than at the first run().
-  core::ShardMap::resolve(options_.num_kernels, options_.run.tsu_groups,
-                          options_.run.shards);
+  // Reject a TSU-group count the kernels cannot hold now, rather than
+  // at the first run().
+  core::ShardMap(options_.num_kernels, options_.run.tsu_groups);
 }
 
 RuntimeStats Runtime::run() {

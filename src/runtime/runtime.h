@@ -56,18 +56,13 @@ struct RunOptions {
   bool pin_threads = false;
   /// Number of TSU Emulator threads (the section 4.1 multiple-TSU-
   /// Groups extension, software flavor): the run's ownership map is
-  /// core::ShardMap::interleaved(kernels, tsu_groups), so emulator g
-  /// owns kernels k with k % tsu_groups == g. Must be in [1, the run's
-  /// kernel count]. Superseded by `shards` below when that is >= 1.
+  /// core::ShardMap(kernels, tsu_groups) - contiguous kernel ranges,
+  /// one emulator scheduling loop per group. SM spans, TKT-routed
+  /// updates, and TUB lanes all stay group-local; with >= 2 groups
+  /// each emulator also gets a dedicated TUB lane for steal grants.
+  /// Combine with policy kHier for hierarchical stealing across
+  /// groups. Must be in [1, the run's kernel count].
   std::uint16_t tsu_groups = 1;
-  /// Sharded TSU: 0 (default) keeps the interleaved tsu_groups map;
-  /// >= 1 makes the map core::ShardMap::clustered(kernels, shards) -
-  /// contiguous kernel ranges, one emulator scheduling loop per shard,
-  /// one dedicated TUB lane per emulator. SM spans, TKT-routed
-  /// updates, and TUB lanes all stay shard-local. Combine with policy
-  /// kHier for hierarchical stealing across shards. Must be <= the
-  /// run's kernel count.
-  std::uint16_t shards = 0;
   /// kHier only: depth advantage a remote shard must offer before a
   /// backlogged dispatch is delegated there (TsuEmulator::Options::
   /// steal_threshold).

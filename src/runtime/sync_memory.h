@@ -21,9 +21,8 @@
 // Ownership discipline: kernel k's SM slots, generation cursor, and
 // staged-block markers are touched only by the TSU Emulator of the
 // group owning kernel k, so none of it needs locking. The run's
-// ShardMap decides ownership (interleaved tsu_groups or clustered
-// shards alike): every partition operation iterates the owning group's
-// kernel list.
+// ShardMap decides ownership: every partition operation iterates the
+// owning group's kernel list.
 #pragma once
 
 #include <array>

@@ -53,9 +53,8 @@ std::size_t TubGroup::publish_range_update(core::ThreadId lo,
   // Split the record per owning group: each receives [its first
   // member, its last member] - the record trimmed to the sub-range its
   // SM sweep can actually decrement. A group's members need not be
-  // contiguous in id (interleaved groups, round-robin homes), but the
-  // SM applies a range only to owned slots, so trimming to the
-  // outermost members is exact for any map.
+  // contiguous in id (round-robin homes), but the SM applies a range
+  // only to owned slots, so trimming to the outermost members is exact.
   scratch.first.assign(groups, core::kInvalidThread);
   scratch.last.resize(groups);
   for (core::ThreadId tid = lo; tid <= hi; ++tid) {

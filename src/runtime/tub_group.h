@@ -3,17 +3,16 @@
 // With a single TSU Emulator (the paper's TFluxSoft) there is one TUB.
 // The section 4.1 multiple-TSU-Groups extension applies to the
 // software TSU too: G emulator threads each own the Synchronization
-// Memories of the kernels in their group (the run's ShardMap, held by
-// the SyncMemoryGroup: interleaved tsu_groups or clustered shards) and
-// drain their own TUB. The Kernel's Local TSU routes each Ready Count
-// update to the TUB of the group owning the *consumer's* home kernel
-// (a TKT lookup); block-load events broadcast to every group (each
-// initializes its own SM partition); outlet events go to group 0, the
-// block-chaining coordinator. A range update is split per owning group
-// at publish time - each owner receives the record trimmed to its own
-// first/last member - so each receiving SM sweep is bounded by the
-// group's own members (and, under clustered shards, stays inside one
-// contiguous id range).
+// Memories of the kernels in their group (the run's clustered
+// ShardMap, held by the SyncMemoryGroup) and drain their own TUB. The
+// Kernel's Local TSU routes each Ready Count update to the TUB of the
+// group owning the *consumer's* home kernel (a TKT lookup); block-load
+// events broadcast to every group (each initializes its own SM
+// partition); outlet events go to group 0, the block-chaining
+// coordinator. A range update is split per owning group at publish
+// time - each owner receives the record trimmed to its own first/last
+// member - so each receiving SM sweep is bounded by the group's own
+// members.
 //
 // Each group's TUB is either a LaneTub (per-kernel SPSC lanes, the
 // lock-free default) or a segmented try-lock Tub (the paper-faithful
@@ -186,7 +185,7 @@ class TubGroup {
   /// Coordinator side: program finished - every emulator shuts down.
   /// Published on the coordinator's dedicated lane (hint num_kernels:
   /// group 0's emulator lane when the lane space has one, and lane 0
-  /// mod num_lanes in the interleaved kernels-only geometry, where no
+  /// mod num_lanes in the one-group kernels-only geometry, where no
   /// kernel publishes after the final Outlet).
   void broadcast_shutdown() {
     const TubEntry e{TubEntry::Kind::kShutdown, 0};

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <optional>
 #include <sstream>
 
 #include "cell/cell_machine.h"
@@ -100,11 +99,9 @@ Command run_command(CliOptions& o) {
           tsu_capacity_flag(o.tsu_capacity,
                             "DThreads per DDM block (default 512)"),
           tsu_groups_flag(o.tsu_groups,
-                          "TSU Groups, hard/soft targets (default 1)"),
-          shards_flag(o.shards,
-                      "sharded TSU: K clustered domains (0 = flat, the "
-                      "default; pair with --policy=hier for hierarchical "
-                      "stealing)"),
+                          "TSU Groups: clustered kernel groups, one TSU "
+                          "port each (default 1; pair with --policy=hier "
+                          "for hierarchical stealing)"),
           policy_flag(o.policy,
                       "ready-thread policy (default locality; affinity "
                       "routes each consumer to the kernel holding most of "
@@ -175,13 +172,10 @@ CliOptions parse_args(const std::vector<std::string>& args) {
         "tflux_run: SUSANPIPE targets the shared-memory data plane and "
         "is not part of the Cell evaluation");
   }
-  if (options.shards > options.kernels) {
-    throw TFluxError("tflux_run: --shards must be <= --kernels");
-  }
-  if (options.shards != 0 && options.platform == CliPlatform::kCell) {
+  if (options.tsu_groups >= 2 && options.platform == CliPlatform::kCell) {
     throw TFluxError(
-        "tflux_run: --shards models the sharded TSU and does not apply "
-        "to the Cell platform");
+        "tflux_run: --tsu-groups models multiple TSU Groups and does not "
+        "apply to the Cell platform");
   }
   if (options.check && options.platform != CliPlatform::kSoft) {
     throw TFluxError(
@@ -324,17 +318,17 @@ int run_cli(const CliOptions& options, std::ostream& out) {
 
   switch (options.platform) {
     case CliPlatform::kReference: {
-      std::optional<core::ShardMap> shard_map;
-      if (options.shards >= 1) {
-        shard_map =
-            core::ShardMap::clustered(options.kernels, options.shards);
-      }
+      const core::ShardMap map(options.kernels, tsu_groups);
       core::ReferenceScheduler sched(run.program, options.kernels,
-                                     options.policy,
-                                     shard_map ? &*shard_map : nullptr);
+                                     options.policy, map.topology());
       const core::ScheduleResult r = sched.run();
       out << "  executed " << r.records.size()
           << " DThreads (incl. inlets/outlets)\n";
+      if (map.clustered()) {
+        out << "  TSU groups (" << map.num_shards()
+            << "): " << r.counters.steal_local << " sibling steals, "
+            << r.counters.steal_remote << " remote steals\n";
+      }
       break;
     }
     case CliPlatform::kSoft: {
@@ -343,7 +337,6 @@ int run_cli(const CliOptions& options, std::ostream& out) {
       rt_options.run.policy = options.policy;
       rt_options.run.lockfree = options.lockfree;
       rt_options.run.tsu_groups = tsu_groups;
-      rt_options.run.shards = options.shards;
       rt_options.run.dataplane = options.dataplane;
       rt_options.guard = options.guard;
       rt_options.inject_fault = options.inject_fault;
@@ -441,8 +434,8 @@ int run_cli(const CliOptions& options, std::ostream& out) {
           imbalance_pct = std::max(imbalance_pct, std::abs(dev));
         }
       }
-      if (rt_options.run.shards >= 1) {
-        out << "  shards (" << st.emulators.size()
+      if (tsu_groups >= 2) {
+        out << "  TSU groups (" << st.emulators.size()
             << "): " << st.emulator.steal_local << " sibling steals, "
             << st.emulator.steal_remote << " remote grants out, "
             << st.emulator.steals_in << " grants in, imbalance "
@@ -469,8 +462,7 @@ int run_cli(const CliOptions& options, std::ostream& out) {
             .field("app", run.name)
             .field("platform", "soft")
             .field("kernels", options.kernels)
-            .field("tsu_groups", rt_options.run.tsu_groups)
-            .field("shards", rt_options.run.shards)
+            .field("tsu_groups", tsu_groups)
             .field("policy", core::to_string(options.policy))
             .field("lockfree", options.lockfree)
             .begin_object("dataplane")
@@ -585,7 +577,6 @@ int run_cli(const CliOptions& options, std::ostream& out) {
       cfg.policy = options.policy;
       cfg.tsu.num_groups = tsu_groups;
       cfg.dataplane = options.dataplane;
-      if (options.shards != 0) cfg.topology.shards = options.shards;
       machine::Machine m(cfg, run.program, validate);
       if (want_trace) m.attach_trace(&trace);
       const machine::MachineStats st = m.run();

@@ -35,12 +35,12 @@ struct CliOptions {
   std::uint16_t kernels = 4;
   std::uint32_t unroll = 4;
   std::uint32_t tsu_capacity = 512;
+  /// TSU Groups (--tsu-groups=G, clamped to --kernels): G clustered
+  /// groups of kernels. Soft platform: G emulator threads (hierarchical
+  /// stealing across groups with --policy=hier). Simulated platforms:
+  /// per-group TSU ports and the TSU-to-TSU link. Reference: the
+  /// topology of the hier/affinity pull. Cell rejects G >= 2.
   std::uint16_t tsu_groups = 1;
-  /// Sharded TSU (--shards=K): 0 keeps the flat/interleaved layout.
-  /// Soft platform: K clustered emulator domains (hierarchical
-  /// stealing with --policy=hier). Simulated platforms: K-shard
-  /// topology model (per-shard TSU ports, inter-shard link).
-  std::uint16_t shards = 0;
   core::PolicyKind policy = core::PolicyKind::kLocality;
   /// Native runtime (--platform=soft): lock-free hot path (default) vs
   /// the paper-faithful mutex/try-lock structures (--mutex-runtime).

@@ -137,9 +137,6 @@ inline Flag tsu_capacity_flag(
 inline Flag tsu_groups_flag(std::uint16_t& field, std::string help) {
   return uint_flag("--tsu-groups", "N", std::move(help), field, true);
 }
-inline Flag shards_flag(std::uint16_t& field, std::string help) {
-  return uint_flag("--shards", "K", std::move(help), field);
-}
 inline Flag policy_flag(core::PolicyKind& field, std::string help) {
   return choice_flag("--policy", "fifo|locality|hier|affinity",
                      std::move(help), field, core::parse_policy);

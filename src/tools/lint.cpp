@@ -47,18 +47,19 @@ Command lint_command(LintOptions& o) {
                     "updates - a ddmguard sampled-mode overhead hotspot "
                     "(0 = off)",
                     o.guard_hotspots),
-          shards_flag(o.shards,
-                      "clustered topology for the shard-imbalance check "
-                      "(0 = no topology)"),
+          tsu_groups_flag(o.tsu_groups,
+                          "clustered TSU groups of the target topology for "
+                          "the shard-imbalance and affinity-split checks "
+                          "(default 1 = no topology)"),
           uint_flag("--shard-imbalance", "N",
                     "warn when a shard's homed DThread/update load "
                     "deviates more than N% from uniform (0 = off; needs "
-                    "--shards)",
+                    "--tsu-groups >= 2)",
                     o.shard_imbalance),
           uint_flag("--affinity-split", "N",
                     "warn when a consumer's input footprint is written by "
-                    "producers homed on more than N kernels (shards with "
-                    "--shards; 0 = off)",
+                    "producers homed on more than N kernels (groups with "
+                    "--tsu-groups >= 2; 0 = off)",
                     o.affinity_split),
           uint_flag("--tenant-capacity", "W",
                     "resident-executor admission: error when the program "
@@ -135,7 +136,7 @@ core::VerifyReport lint_program(const core::Program& program,
   verify_options.min_block_threads = options.min_block_threads;
   verify_options.coalescable_arc_min = options.coalescable_arcs;
   verify_options.guard_hotspot_budget = options.guard_hotspots;
-  verify_options.shards = options.shards;
+  verify_options.tsu_groups = options.tsu_groups;
   verify_options.shard_imbalance_pct = options.shard_imbalance;
   verify_options.affinity_split = options.affinity_split;
   verify_options.tenant_width = options.tenant_capacity;

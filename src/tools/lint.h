@@ -43,15 +43,16 @@ struct LintOptions {
   /// this many updates - deep-checking that block concentrates the
   /// guard's per-member accounting into a single transition.
   std::uint32_t guard_hotspots = 0;
-  /// Shard count of the target clustered topology for the
-  /// shard-imbalance check (0 = no topology).
-  std::uint16_t shards = 0;
-  /// Allowed per-shard load deviation from uniform, in percent, before
-  /// the shard-imbalance check warns (0 disables; needs --shards).
+  /// TSU groups of the target clustered topology for the
+  /// shard-imbalance and affinity-split checks (1 = no topology).
+  std::uint16_t tsu_groups = 1;
+  /// Allowed per-group load deviation from uniform, in percent, before
+  /// the shard-imbalance check warns (0 disables; needs --tsu-groups
+  /// >= 2).
   std::uint32_t shard_imbalance = 0;
-  /// Maximum distinct producer home kernels (home shards with
-  /// --shards) a consumer's input footprint may span before the
-  /// affinity-split check warns (0 disables).
+  /// Maximum distinct producer home kernels (home groups with
+  /// --tsu-groups >= 2) a consumer's input footprint may span before
+  /// the affinity-split check warns (0 disables).
   std::uint32_t affinity_split = 0;
   /// Resident-executor tenant partition width for the tenant-capacity
   /// check (0 disables): error when the program cannot be admitted to

@@ -61,9 +61,7 @@ Command serve_command(ServeOptions& o) {
                     "serves floor(N/W) programs concurrently",
                     o.partition_width, /*min_one=*/true),
           tsu_groups_flag(o.tsu_groups,
-                          "TSU groups per partition (default 1)"),
-          shards_flag(o.shards,
-                      "sharded TSU per partition (default 0 = flat)"),
+                          "clustered TSU groups per partition (default 1)"),
           uint_flag("--queue", "N", "admission queue bound (default 64)",
                     o.queue_capacity, /*min_one=*/true),
           uint_flag("--stage-depth", "N",
@@ -215,7 +213,6 @@ int run_serve(const ServeOptions& options, std::ostream& out,
       runtime::RuntimeOptions rt;
       rt.num_kernels = options.pool_kernels;
       rt.run.tsu_groups = options.tsu_groups;
-      rt.run.shards = options.shards;
       rt.run.policy = options.policy;
       rt.run.dataplane = options.dataplane;
       rt.guard = options.guard;
@@ -251,7 +248,6 @@ int run_serve(const ServeOptions& options, std::ostream& out,
     exec.pool_kernels = options.pool_kernels;
     exec.partition_width = options.partition_width;
     exec.run.tsu_groups = options.tsu_groups;
-    exec.run.shards = options.shards;
     exec.queue_capacity = options.queue_capacity;
     exec.stage_depth = options.stage_depth;
     exec.run.policy = options.policy;

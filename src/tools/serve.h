@@ -25,7 +25,6 @@ struct ServeOptions {
   std::uint16_t pool_kernels = 8;
   std::uint16_t partition_width = 2;
   std::uint16_t tsu_groups = 1;
-  std::uint16_t shards = 0;
   std::size_t queue_capacity = 64;
   std::uint16_t stage_depth = 2;
   /// Requests to replay.

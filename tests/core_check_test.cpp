@@ -173,6 +173,28 @@ TEST(DdmTraceTest, VersionOneTracesStillLoad) {
   EXPECT_EQ(t.records[1].c, 0u);
 }
 
+TEST(DdmTraceTest, LegacyShardsClauseStillLoads) {
+  // Sharded runs once wrote `shards S` beside `groups S`; the clause
+  // is accepted and ignored, and the writer emits `groups` alone.
+  const std::string records =
+      "e 0 dispatch 2 0 1\n"
+      "e 1 complete 1 0 0\n";
+  const ExecTrace legacy = load_trace(
+      "ddmtrace 2\n"
+      "config kernels 4 groups 2 policy hier pipeline 1 lockfree 1 "
+      "shards 2\n" +
+      records);
+  const ExecTrace current = load_trace(
+      "ddmtrace 2\n"
+      "config kernels 4 groups 2 policy hier pipeline 1 lockfree 1\n" +
+      records);
+  EXPECT_EQ(legacy.groups, 2);
+  EXPECT_EQ(save_trace(legacy), save_trace(current));
+  EXPECT_EQ(save_trace(current).find("shards"), std::string::npos);
+  EXPECT_THROW(load_trace("ddmtrace 2\nconfig kernels 4 shards\n"),
+               TFluxError);
+}
+
 TEST(DdmTraceTest, RangeUpdateAndTruncatedRoundTrip) {
   ExecTrace t;
   t.program = "rng";

@@ -277,7 +277,7 @@ TEST(DataPlaneTest, AccountDispatchClassifiesColdHitMiss) {
 TEST(DataPlaneTest, CrossShardBytesFollowTheShardMap) {
   auto fx = TwoProducerFixture::make();
   // 4 kernels, 2 clustered shards: {0,1} and {2,3}.
-  const ShardMap shards = ShardMap::clustered(4, 2);
+  const ShardMap shards(4, 2);
   const DataPlane plane(fx.program, &shards);
 
   plane.record_execution(fx.p_small, 1);  // shard 0

@@ -556,7 +556,7 @@ TEST(VerifyTest, AffinitySplitCountsShardsWhenTopologyGiven) {
   // 2 shards, so the kernel-level split disappears at shard level.
   VerifyOptions options;
   options.num_kernels = 4;
-  options.shards = 2;
+  options.tsu_groups = 2;
   options.affinity_split = 2;
   EXPECT_TRUE(verify(program, options).clean());
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "apps/suite.h"
 #include "machine/config.h"
@@ -15,11 +16,11 @@ namespace {
 
 apps::AppRun build(apps::AppKind kind, apps::SizeClass size,
                    apps::Platform platform, std::uint16_t kernels,
-                   std::uint32_t unroll) {
+                   std::uint32_t unroll, std::uint32_t tsu_capacity = 512) {
   apps::DdmParams p;
   p.num_kernels = kernels;
   p.unroll = unroll;
-  p.tsu_capacity = 512;
+  p.tsu_capacity = tsu_capacity;
   return apps::build_app(kind, size, platform, p);
 }
 
@@ -69,6 +70,37 @@ TEST(MachineGoldenTest, HardTrapezSmall) {
             apps::Platform::kSimulated, config.num_kernels, 1);
   EXPECT_EQ(Machine(config, run.program, false).run().total_cycles,
             1119528u);
+}
+
+// BENCH_shards.json, TRAPEZ 32 kernels / 4 groups: the sharded
+// soft-TSU machine under hierarchical stealing (clustered ownership,
+// one port per group, the TSU-to-TSU link on cross-group operations).
+TEST(MachineGoldenTest, ShardedSoftTrapezFourGroups) {
+  MachineConfig config = xeon_soft_sharded(32, 4);
+  config.policy = core::PolicyKind::kHier;
+  const apps::AppRun run =
+      build(apps::AppKind::kTrapez, apps::SizeClass::kSmall,
+            apps::Platform::kNative, 32, 32, 1024);
+  EXPECT_EQ(Machine(config, run.program, false).run().total_cycles,
+            528086u);
+  EXPECT_EQ(simulate_sequential(config, run.sequential_plan), 15728640u);
+}
+
+// The section 4.1 table's 27-kernel / 4-group cell
+// (bench/ablation_tsu_groups): fine TRAPEZ on a hardware TSU slowed to
+// 32 cycles per operation.
+TEST(MachineGoldenTest, HardTrapezTwentySevenKernelsFourGroups) {
+  MachineConfig config = bagle_sparc(27);
+  config.tsu.op_cycles = 32;
+  config.tsu.num_groups = 4;
+  const apps::AppRun run =
+      build(apps::AppKind::kTrapez, apps::SizeClass::kMedium,
+            apps::Platform::kSimulated, 27, 2, 1024);
+  const MachineStats st = Machine(config, run.program, false).run();
+  EXPECT_EQ(st.total_cycles, 2706708u);
+  EXPECT_EQ(st.tsu_intergroup_updates, 24578u);
+  EXPECT_EQ(st.tsu_group_busy,
+            (std::vector<Cycles>{797504, 272832, 272576, 231136}));
 }
 
 void expect_stats(const MemoryStats& got, const MemoryStats& want) {

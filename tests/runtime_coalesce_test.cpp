@@ -42,7 +42,7 @@ TEST(SyncMemoryRangeTest, RangeSweepsOnlyTheOwnedPartition) {
   const core::Program program =
       b.build(core::BuildOptions{.num_kernels = 2});
 
-  const core::ShardMap map = core::ShardMap::interleaved(2, 2);
+  const core::ShardMap map(2, 2);
   runtime::SyncMemoryGroup sm(program, map);
   activate(sm, blk, /*group=*/0);
   activate(sm, blk, /*group=*/1);
@@ -80,7 +80,7 @@ TEST(SyncMemoryRangeTest, SubrangeLeavesNeighborsUntouched) {
   const core::Program program =
       b.build(core::BuildOptions{.num_kernels = 1});
 
-  const core::ShardMap map = core::ShardMap::interleaved(1, 1);
+  const core::ShardMap map(1, 1);
   runtime::SyncMemoryGroup sm(program, map);
   activate(sm, blk, 0);
   std::vector<core::ThreadId> zeroed;
@@ -105,7 +105,7 @@ TEST(SyncMemoryRangeTest, ShadowRangeStaysInShadowUntilPromoted) {
   const core::Program program =
       b.build(core::BuildOptions{.num_kernels = 1});
 
-  const core::ShardMap map = core::ShardMap::interleaved(1, 1);
+  const core::ShardMap map(1, 1);
   runtime::SyncMemoryGroup sm(program, map);
   activate(sm, b0, 0);
   sm.preload_shadow(b1, /*group=*/0);

@@ -37,7 +37,8 @@ std::uint64_t total_bytes_forwarded(const runtime::RuntimeStats& st) {
 // ---------------------------------------------------------------------------
 
 // The parameter prints as its raw bytes (and so names the test case);
-// the padding is spelled out and zeroed so those names are stable.
+// the padding is spelled out and zeroed so those names are stable. One
+// TSU group is spelled `shards = 0` for the same reason (groups_of).
 struct SweepConfig {
   apps::AppKind app;
   std::uint8_t pad0 = 0;
@@ -49,6 +50,10 @@ static_assert(sizeof(SweepConfig) == 6);
 
 SweepConfig sweep(apps::AppKind app, std::uint16_t shards, bool dataplane) {
   return {.app = app, .shards = shards, .dataplane = dataplane};
+}
+
+std::uint16_t groups_of(std::uint16_t shards) {
+  return shards == 0 ? 1 : shards;
 }
 
 class DataPlaneSweepTest : public ::testing::TestWithParam<SweepConfig> {};
@@ -65,7 +70,7 @@ TEST_P(DataPlaneSweepTest, AffinityRunsValidate) {
   runtime::RuntimeOptions options;
   options.num_kernels = params.num_kernels;
   options.run.policy = core::PolicyKind::kAffinity;
-  options.run.shards = cfg.shards;
+  options.run.tsu_groups = groups_of(cfg.shards);
   options.run.dataplane = cfg.dataplane;
   runtime::Runtime rt(run.program, options);
   const runtime::RuntimeStats stats = rt.run();
@@ -146,7 +151,7 @@ TEST_P(DataPlaneReplayTest, TraceReplayReconcilesExactly) {
   runtime::RuntimeOptions options;
   options.num_kernels = params.num_kernels;
   options.run.policy = cfg.policy;
-  options.run.shards = cfg.shards;
+  options.run.tsu_groups = groups_of(cfg.shards);
   options.trace = &trace;
   runtime::Runtime rt(run.program, options);
   const runtime::RuntimeStats stats = rt.run();

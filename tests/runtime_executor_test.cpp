@@ -255,14 +255,12 @@ TEST(ResidentExecutor, AdmissionErrors) {
   EXPECT_TRUE(narrow->validate());
 
   // TSU geometry a width-2 partition cannot hold is rejected up front:
-  // no TSU group, more groups than kernels, more shards than kernels.
-  for (const auto& [groups, shards] :
-       {std::pair<std::uint16_t, std::uint16_t>{0, 0}, {3, 0}, {1, 3}}) {
+  // no TSU group, more groups than kernels.
+  for (std::uint16_t groups : {0, 3}) {
     ExecutorOptions geometry = options;
     geometry.run.tsu_groups = groups;
-    geometry.run.shards = shards;
     EXPECT_THROW(Executor(registry, geometry), core::TFluxError)
-        << groups << " groups, " << shards << " shards";
+        << groups << " groups";
   }
 }
 

@@ -146,7 +146,7 @@ TEST(DeferredReplayTest, UpdateAheadOfActivationIsDeferredThenReplayed) {
   b.add_arc(y, x);  // x has Ready Count 1
   const core::Program program = b.build(core::BuildOptions{.num_kernels = 2});
 
-  const core::ShardMap map = core::ShardMap::interleaved(2, 2);
+  const core::ShardMap map(2, 2);
   SyncMemoryGroup sm(program, map);
   TubGroup tubs(program, sm,
                 TubGroupOptions{.lockfree = true,
@@ -182,7 +182,7 @@ TEST(TsuEmulatorTest, GroupOutsideTheMapRejected) {
   core::ProgramBuilder b("groups");
   b.add_thread(b.add_block(), "t", {}, {}, /*home=*/0);
   const core::Program program = b.build(core::BuildOptions{.num_kernels = 2});
-  const core::ShardMap map = core::ShardMap::interleaved(2, 2);
+  const core::ShardMap map(2, 2);
   SyncMemoryGroup sm(program, map);
   TubGroup tubs(program, sm, TubGroupOptions{.num_lanes = 2});
   std::deque<Mailbox> mailboxes;

@@ -33,7 +33,7 @@ TEST(ShardMapTest, ClusteredPartitionsAreContiguousAndBalanced) {
   for (std::uint16_t kernels : {4, 7, 32, 128}) {
     for (std::uint16_t shards : {1, 2, 3, 16}) {
       if (shards > kernels) continue;
-      const core::ShardMap map = core::ShardMap::clustered(kernels, shards);
+      const core::ShardMap map(kernels, shards);
       ASSERT_EQ(map.num_shards(), shards);
       std::size_t covered = 0;
       std::size_t min_size = kernels, max_size = 0;
@@ -58,13 +58,20 @@ TEST(ShardMapTest, ClusteredPartitionsAreContiguousAndBalanced) {
   }
 }
 
-TEST(ShardMapTest, InterleavedMatchesModulo) {
-  const core::ShardMap map = core::ShardMap::interleaved(10, 3);
-  for (core::KernelId k = 0; k < 10; ++k) {
-    EXPECT_EQ(map.shard_of(k), k % 3);
-  }
-  EXPECT_TRUE(map.same_shard(0, 3));
-  EXPECT_FALSE(map.same_shard(0, 4));
+TEST(ShardMapTest, OnlyTwoOrMoreGroupsFormATopology) {
+  // One group keeps every flat path: no topology for the hierarchical
+  // pull, the cross-shard bytes or the steal-grant lanes.
+  const core::ShardMap flat(4, 1);
+  EXPECT_FALSE(flat.clustered());
+  EXPECT_EQ(flat.topology(), nullptr);
+  const core::ShardMap two(4, 2);
+  EXPECT_TRUE(two.clustered());
+  EXPECT_EQ(two.topology(), &two);
+  EXPECT_TRUE(two.same_shard(0, 1));
+  EXPECT_FALSE(two.same_shard(1, 2));
+  EXPECT_THROW(core::ShardMap(4, 0), core::TFluxError);
+  EXPECT_THROW(core::ShardMap(4, 5), core::TFluxError);
+  EXPECT_THROW(core::ShardMap(0, 1), core::TFluxError);
 }
 
 // ---------------------------------------------------------------------------
@@ -73,8 +80,7 @@ TEST(ShardMapTest, InterleavedMatchesModulo) {
 
 TEST(ShardRangeTrimTest, RangeRecordsAreTrimmedPerShard) {
   // 8 consecutive same-block consumers homed round-robin on 4 kernels,
-  // split into 2 groups - clustered shards {0,1} {2,3}, or the
-  // interleaved tsu_groups stripe {0,2} {1,3}: the range [0,7] must
+  // split into 2 clustered groups {0,1} {2,3}: the range [0,7] must
   // reach each group trimmed to its own first/last member, and the
   // members of the two trimmed records must tile [0,7] exactly.
   apps::DdmParams params;
@@ -83,40 +89,37 @@ TEST(ShardRangeTrimTest, RangeRecordsAreTrimmedPerShard) {
   apps::AppRun app =
       apps::build_app(apps::AppKind::kTrapez, apps::SizeClass::kSmall,
                       apps::Platform::kNative, params);
-  for (const core::ShardMap& map : {core::ShardMap::clustered(4, 2),
-                                    core::ShardMap::interleaved(4, 2)}) {
-    SCOPED_TRACE(core::to_string(map.kind()));
-    runtime::SyncMemoryGroup sm(app.program, map);
-    runtime::TubGroup tubs(app.program, sm,
-                           runtime::TubGroupOptions{.num_lanes = 6});
+  const core::ShardMap map(4, 2);
+  runtime::SyncMemoryGroup sm(app.program, map);
+  runtime::TubGroup tubs(app.program, sm,
+                         runtime::TubGroupOptions{.num_lanes = 6});
 
-    // Pick a run of 8 consecutive application DThreads in one block.
-    core::ThreadId lo = 0;
-    const core::ThreadId hi = lo + 7;
-    ASSERT_EQ(app.program.thread(lo).block, app.program.thread(hi).block);
-    const std::size_t members = tubs.publish_range_update(lo, hi, 0);
-    EXPECT_EQ(members, 8u);
+  // Pick a run of 8 consecutive application DThreads in one block.
+  core::ThreadId lo = 0;
+  const core::ThreadId hi = lo + 7;
+  ASSERT_EQ(app.program.thread(lo).block, app.program.thread(hi).block);
+  const std::size_t members = tubs.publish_range_update(lo, hi, 0);
+  EXPECT_EQ(members, 8u);
 
-    std::uint64_t members_seen = 0;
-    for (std::uint16_t g = 0; g < 2; ++g) {
-      std::vector<runtime::TubEntry> drained;
-      tubs.tub(g).drain(drained);
-      ASSERT_EQ(drained.size(), 1u) << "shard " << g;
-      const runtime::TubEntry& e = drained.front();
-      EXPECT_EQ(e.kind, runtime::TubEntry::Kind::kRangeUpdate);
-      EXPECT_GE(e.id, lo);
-      EXPECT_LE(e.hi, hi);
-      // Boundary members belong to the receiving shard.
-      EXPECT_EQ(tubs.group_of_thread(static_cast<core::ThreadId>(e.id)), g);
-      EXPECT_EQ(tubs.group_of_thread(static_cast<core::ThreadId>(e.hi)), g);
-      for (core::ThreadId t = static_cast<core::ThreadId>(e.id);
-           t <= static_cast<core::ThreadId>(e.hi); ++t) {
-        if (tubs.group_of_thread(t) == g) ++members_seen;
-      }
+  std::uint64_t members_seen = 0;
+  for (std::uint16_t g = 0; g < 2; ++g) {
+    std::vector<runtime::TubEntry> drained;
+    tubs.tub(g).drain(drained);
+    ASSERT_EQ(drained.size(), 1u) << "shard " << g;
+    const runtime::TubEntry& e = drained.front();
+    EXPECT_EQ(e.kind, runtime::TubEntry::Kind::kRangeUpdate);
+    EXPECT_GE(e.id, lo);
+    EXPECT_LE(e.hi, hi);
+    // Boundary members belong to the receiving shard.
+    EXPECT_EQ(tubs.group_of_thread(static_cast<core::ThreadId>(e.id)), g);
+    EXPECT_EQ(tubs.group_of_thread(static_cast<core::ThreadId>(e.hi)), g);
+    for (core::ThreadId t = static_cast<core::ThreadId>(e.id);
+         t <= static_cast<core::ThreadId>(e.hi); ++t) {
+      if (tubs.group_of_thread(t) == g) ++members_seen;
     }
-    // Every member of [lo, hi] is owned by exactly one trimmed record.
-    EXPECT_EQ(members_seen, 8u);
   }
+  // Every member of [lo, hi] is owned by exactly one trimmed record.
+  EXPECT_EQ(members_seen, 8u);
 }
 
 // ---------------------------------------------------------------------------
@@ -142,7 +145,7 @@ TEST(ShardedRuntimeTest, HierMatchesFlatAcrossAppsKernelsShards) {
             kind, apps::SizeClass::kSmall, apps::Platform::kNative, params);
         runtime::RuntimeOptions hier_options;
         hier_options.num_kernels = kernels;
-        hier_options.run.shards = shards;
+        hier_options.run.tsu_groups = shards;
         hier_options.run.policy = core::PolicyKind::kHier;
         run_app(sharded, hier_options);
         EXPECT_TRUE(sharded.validate())
@@ -167,7 +170,7 @@ TEST(ShardedRuntimeTest, ForcedOverflowDelegatesToRemoteShard) {
                       apps::Platform::kNative, params);
   runtime::RuntimeOptions options;
   options.num_kernels = 4;
-  options.run.shards = 2;
+  options.run.tsu_groups = 2;
   options.run.policy = core::PolicyKind::kHier;
   options.adaptive_backlog = 0;  // any backlog counts as overflow
   options.run.steal_threshold = 0;   // any less-loaded remote is a victim
@@ -202,13 +205,13 @@ TEST(ShardedRuntimeTest, StealStatsReconcileWithTraceReplay) {
                         apps::Platform::kNative, params);
     runtime::RuntimeOptions options;
     options.num_kernels = 8;
-    options.run.shards = shards;
+    options.run.tsu_groups = shards;
     options.run.policy = core::PolicyKind::kHier;
     core::ExecTrace trace;
     options.trace = &trace;
     const runtime::RuntimeStats st = run_app(app, options);
     ASSERT_TRUE(app.validate());
-    EXPECT_EQ(trace.shards, shards);
+    EXPECT_EQ(trace.groups, shards);
 
     const core::CheckReport report = core::check_trace(app.program, trace);
     EXPECT_TRUE(report.clean()) << report.to_string(app.program);
@@ -241,7 +244,7 @@ TEST(ShardedRuntimeTest, GuardFullCleanUnderHierStealing) {
         kind, apps::SizeClass::kSmall, apps::Platform::kNative, params);
     runtime::RuntimeOptions options;
     options.num_kernels = 4;
-    options.run.shards = 2;
+    options.run.tsu_groups = 2;
     options.run.policy = core::PolicyKind::kHier;
     options.run.steal_threshold = 0;  // maximize shard-crossing dispatches
     options.adaptive_backlog = 0;

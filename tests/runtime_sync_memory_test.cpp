@@ -17,7 +17,7 @@ using core::ProgramBuilder;
 using core::ThreadId;
 
 /// Two kernels, one TSU group owning both.
-const core::ShardMap kOneGroup = core::ShardMap::interleaved(2, 1);
+const core::ShardMap kOneGroup(2, 1);
 
 /// Make `block` current for every kernel: stage it in the shadow
 /// generation and flip (one group owns them all).

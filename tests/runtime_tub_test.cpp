@@ -168,7 +168,7 @@ TEST(TubGroupTest, RoutesByConsumerHomeGroup) {
   const core::ThreadId t0 = b.add_thread(blk, "g0", {}, {}, 0);
   const core::ThreadId t1 = b.add_thread(blk, "g1", {}, {}, 1);
   core::Program p = b.build(core::BuildOptions{.num_kernels = 2});
-  const core::ShardMap map = core::ShardMap::interleaved(2, 2);
+  const core::ShardMap map(2, 2);
   SyncMemoryGroup sm(p, map);
   TubGroup tubs(p, sm,
                 TubGroupOptions{.lockfree = false,
@@ -200,7 +200,7 @@ TEST(TubGroupTest, LoadBroadcastAndOutletToCoordinator) {
   core::ProgramBuilder b;
   b.add_thread(b.add_block(), "t", {}, {}, 0);
   core::Program p = b.build(core::BuildOptions{.num_kernels = 3});
-  const core::ShardMap map = core::ShardMap::interleaved(3, 3);
+  const core::ShardMap map(3, 3);
   SyncMemoryGroup sm(p, map);
   TubGroup tubs(p, sm,
                 TubGroupOptions{.lockfree = false,
@@ -222,7 +222,7 @@ TEST(TubGroupTest, ShutdownBroadcastReachesEveryGroup) {
   core::ProgramBuilder b;
   b.add_thread(b.add_block(), "t", {}, {}, 0);
   core::Program p = b.build(core::BuildOptions{.num_kernels = 2});
-  const core::ShardMap map = core::ShardMap::interleaved(2, 2);
+  const core::ShardMap map(2, 2);
   SyncMemoryGroup sm(p, map);
   TubGroup tubs(p, sm,
                 TubGroupOptions{.lockfree = false,

@@ -46,7 +46,7 @@ TEST(CliParseTest, IntegerFlagsRejectValuesTheFieldCannotHold) {
   EXPECT_THROW(parse_args({"--kernels=-65535"}), core::TFluxError);
   EXPECT_THROW(parse_args({"--kernels=+2"}), core::TFluxError);
   EXPECT_THROW(parse_args({"--tsu-groups=65536"}), core::TFluxError);
-  EXPECT_THROW(parse_args({"--shards=-1"}), core::TFluxError);
+  EXPECT_THROW(parse_args({"--tsu-groups=-1"}), core::TFluxError);
   EXPECT_THROW(parse_args({"--unroll=4294967296"}), core::TFluxError);
   EXPECT_THROW(parse_args({"--tsu-capacity=4294967296"}), core::TFluxError);
   EXPECT_THROW(parse_args({"--repeat=4294967297"}), core::TFluxError);
@@ -57,13 +57,13 @@ TEST(CliParseTest, IntegerFlagsRejectValuesTheFieldCannotHold) {
 
 TEST(CliParseTest, AllFlags) {
   const CliOptions o = parse_args(
-      {"--app=mmult", "--size=large", "--platform=cell", "--kernels=6",
+      {"--app=mmult", "--size=large", "--platform=x86hard", "--kernels=6",
        "--unroll=64", "--tsu-capacity=1024", "--tsu-groups=2",
        "--policy=fifo", "--no-validate", "--no-baseline",
        "--dot=g.dot", "--trace=t.json"});
   EXPECT_EQ(o.app, apps::AppKind::kMmult);
   EXPECT_EQ(o.size, apps::SizeClass::kLarge);
-  EXPECT_EQ(o.platform, CliPlatform::kCell);
+  EXPECT_EQ(o.platform, CliPlatform::kX86Hard);
   EXPECT_EQ(o.kernels, 6u);
   EXPECT_EQ(o.unroll, 64u);
   EXPECT_EQ(o.tsu_capacity, 1024u);
@@ -259,6 +259,41 @@ TEST(CliRunTest, TsuGroupsFlagReachesMachine) {
                                    "--kernels=8", "--tsu-groups=4",
                                    "--no-validate", "--no-baseline"});
   EXPECT_EQ(run_cli(o, out), 0);
+}
+
+TEST(CliRunTest, TsuGroupsClampToTheKernelCount) {
+  auto run = [](const char* groups) {
+    std::ostringstream out;
+    EXPECT_EQ(run_cli(parse_args({"--platform=hard", "--kernels=2", groups,
+                                  "--no-baseline"}),
+                      out),
+              0);
+    return out.str();
+  };
+  const std::string clamped = run("--tsu-groups=4");
+  EXPECT_EQ(clamped, run("--tsu-groups=2"));
+  EXPECT_NE(clamped.find(" 7994158 cycles,"), std::string::npos) << clamped;
+}
+
+TEST(CliRunTest, CellRejectsTsuGroups) {
+  EXPECT_THROW(parse_args({"--platform=cell", "--tsu-groups=2"}),
+               core::TFluxError);
+  EXPECT_EQ(parse_args({"--platform=cell", "--tsu-groups=1"}).tsu_groups,
+            1u);
+}
+
+TEST(CliRunTest, ReferenceHierStealsAcrossTsuGroups) {
+  // The reference scheduler pulls hierarchically over the clustered
+  // groups: TRAPEZ at 4 kernels in 2 groups steals across them.
+  std::ostringstream out;
+  const CliOptions o =
+      parse_args({"--app=trapez", "--platform=reference", "--kernels=4",
+                  "--tsu-groups=2", "--policy=hier"});
+  EXPECT_EQ(run_cli(o, out), 0);
+  EXPECT_NE(out.str().find("results match"), std::string::npos);
+  EXPECT_NE(out.str().find("TSU groups (2): 1 sibling steals, 9 remote"),
+            std::string::npos)
+      << out.str();
 }
 
 }  // namespace

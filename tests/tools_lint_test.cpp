@@ -52,7 +52,7 @@ TEST(ToolsLintTest, IntegerFlagsRejectValuesTheFieldCannotHold) {
   EXPECT_THROW(parse_lint_args({"--kernels=-65535"}), core::TFluxError);
   EXPECT_THROW(parse_lint_args({"--kernels=0"}), core::TFluxError);
   EXPECT_THROW(parse_lint_args({"--unroll=0"}), core::TFluxError);
-  EXPECT_THROW(parse_lint_args({"--shards=65538"}), core::TFluxError);
+  EXPECT_THROW(parse_lint_args({"--tsu-groups=65538"}), core::TFluxError);
   EXPECT_THROW(parse_lint_args({"--tenant-capacity=65536"}),
                core::TFluxError);
   EXPECT_THROW(parse_lint_args({"--tsu-capacity=4294967296"}),
@@ -60,7 +60,7 @@ TEST(ToolsLintTest, IntegerFlagsRejectValuesTheFieldCannotHold) {
   EXPECT_THROW(parse_lint_args({"--min-block-threads=-1"}),
                core::TFluxError);
   EXPECT_EQ(parse_lint_args({"--kernels=65535"}).kernels, 65535u);
-  EXPECT_EQ(parse_lint_args({"--shards=2"}).shards, 2u);
+  EXPECT_EQ(parse_lint_args({"--tsu-groups=2"}).tsu_groups, 2u);
   EXPECT_EQ(parse_lint_args({"--tsu-capacity=4294967295"}).tsu_capacity,
             4294967295u);
 }
